@@ -16,6 +16,11 @@ suspensions) where any drift in either direction is a behavioural
 change — they fail on the slightest delta, no noise band.  Everything
 else is reported but never fails the gate.
 
+The gate is two-sided for costs: a gated cost that is non-zero in the
+base and *exactly* 0 in the head also fails.  On the virtual clock a
+vanished persist/reload latency or byte count is dropped accounting, not
+a speed-up (``slo_misses`` is a failure count, so it may reach 0).
+
 Because every gated quantity rides the simulated clock, two runs of the
 same code at the same scale produce identical numbers — any delta is a
 real behavioural change, not noise.  Wall-clock measurements
@@ -67,15 +72,22 @@ EXACT_SUFFIXES = (
     "suspensions",
 )
 
+#: Gated leaves that may legitimately improve to exactly zero.
+MAY_VANISH_SUFFIXES = ("slo_misses",)
+
+
+def _suffix(path: str) -> str:
+    return path.rsplit(".", 1)[-1]
+
 
 def is_gated(path: str) -> bool:
     """Whether a metric leaf participates in the regression gate."""
-    return path.rsplit(".", 1)[-1] in GATED_SUFFIXES
+    return _suffix(path) in GATED_SUFFIXES
 
 
 def is_exact(path: str) -> bool:
     """Whether a metric leaf must match the baseline exactly."""
-    return path.rsplit(".", 1)[-1] in EXACT_SUFFIXES
+    return _suffix(path) in EXACT_SUFFIXES
 
 
 def compare(base: dict, head: dict, max_regress: float) -> tuple[list[str], list[str]]:
@@ -119,6 +131,13 @@ def compare(base: dict, head: dict, max_regress: float) -> tuple[list[str], list
         if is_exact(path):
             failures.append(
                 f"{path} drifted (deterministic count): {old} -> {new}"
+            )
+        elif (
+            is_gated(path) and old > 0 and new == 0
+            and _suffix(path) not in MAY_VANISH_SUFFIXES
+        ):
+            failures.append(
+                f"{path} vanished (dropped accounting, not a speed-up): {old} -> {new}"
             )
         elif is_gated(path) and old > 0 and delta > max_regress:
             failures.append(

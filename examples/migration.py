@@ -17,13 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.clock import SimulatedClock
-from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
-from repro.engine.pipeline import build_pipelines
 from repro.engine.profile import HardwareProfile
 from repro.storage import Catalog
-from repro.suspend import PipelineLevelStrategy
+from repro.suspend import PipelineLevelStrategy, QuerySession
 from repro.tpch import build_query, generate_catalog
 
 QUERY = "Q10"
@@ -47,15 +44,16 @@ def main() -> None:
 
     print("\nSource node: executing and suspending for migration at ~40%...")
     strategy = PipelineLevelStrategy(source_profile)
-    controller = strategy.make_request_controller(normal.stats.duration * 0.4)
-    executor = QueryExecutor(
-        source_catalog, plan, profile=source_profile, controller=controller, query_name=QUERY
+    source = QuerySession(
+        source_catalog, plan, QUERY, workdir, source_profile, strategy=strategy
     )
-    try:
-        executor.run()
+    piece = source.run_slice(
+        strategy.make_request_controller(normal.stats.duration * 0.4)
+    )
+    if piece.kind != "suspend":
         raise SystemExit("query finished before migration point")
-    except QuerySuspended as suspended:
-        outcome = strategy.persist(suspended.capture, workdir)
+    outcome = source.persist(piece)
+    source.commit(piece)
     print(
         f"  suspended at t={outcome.suspended_at:.1f}s; migrating a "
         f"{outcome.intermediate_bytes}-byte snapshot (vs {sum(sizes.values())} bytes "
@@ -66,26 +64,18 @@ def main() -> None:
     destination_catalog = Catalog()
     destination_catalog.ingest_directory(data_dir)
     destination_profile = HardwareProfile(name="destination-node", num_threads=8)
-    destination_pipelines = build_pipelines(destination_catalog, plan)
-    resumed = strategy.prepare_resume(
-        outcome.snapshot_path,
-        destination_pipelines,
-        executor.plan_fingerprint,
-        profile=destination_profile,
+    destination = QuerySession(
+        destination_catalog, plan, QUERY, workdir, destination_profile,
+        strategy=PipelineLevelStrategy(destination_profile),
     )
+    destination.adopt(outcome.snapshot_path)
+    destination.reload()
     print(
         f"  pipeline-level resumption accepts the different configuration "
         f"({source_profile.num_threads} → {destination_profile.num_threads} workers)"
     )
 
-    final = QueryExecutor(
-        destination_catalog,
-        plan,
-        profile=destination_profile,
-        clock=SimulatedClock(),
-        query_name=QUERY,
-        resume=resumed.resume_state,
-    ).run()
+    final = destination.run_slice().result
     print(f"  destination finished the remaining work in {final.stats.duration:.1f}s")
 
     matches = all(

@@ -10,6 +10,10 @@ Demonstrates the core Riveter loop on the pipeline-level strategy:
 3. resume from the snapshot in a fresh executor and verify the result
    matches the uninterrupted run byte for byte.
 
+Steps 2 and 3 go through one :class:`repro.suspend.QuerySession` — the
+same slice driver behind the runner, the scheduler, the fleet and the
+CLI: run a slice, persist, commit, reload, run the next slice.
+
 Run:  python examples/quickstart.py
 """
 
@@ -17,11 +21,9 @@ import tempfile
 
 import numpy as np
 
-from repro.engine.clock import SimulatedClock
-from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
-from repro.suspend import PipelineLevelStrategy
+from repro.suspend import PipelineLevelStrategy, QuerySession
 from repro.tpch import build_query, generate_catalog
 
 
@@ -39,15 +41,16 @@ def main() -> None:
     print("\nRe-running with a suspension request at 50% of execution time...")
     strategy = PipelineLevelStrategy(profile)
     controller = strategy.make_request_controller(normal.stats.duration * 0.5)
-    executor = QueryExecutor(
-        catalog, plan, profile=profile, controller=controller, query_name="Q3"
-    )
     snapshot_dir = tempfile.mkdtemp(prefix="riveter-quickstart-")
-    try:
-        executor.run()
+    session = QuerySession(catalog, plan, "Q3", snapshot_dir, profile, strategy=strategy)
+    piece = session.run_slice(controller)
+    if piece.kind != "suspend":
         raise SystemExit("query finished before the suspension point — unexpected")
-    except QuerySuspended as suspended:
-        outcome = strategy.persist(suspended.capture, snapshot_dir)
+    outcome = session.persist(piece)
+    # Nothing races this suspension, so the snapshot is committed: the
+    # next slice resumes from it.  (A driver whose persist lost a race
+    # with a kill skips the commit and the snapshot is never used.)
+    session.commit(piece)
     print(f"  suspended at t={outcome.suspended_at:.1f}s "
           f"(lag after request: {controller.lag:.2f}s)")
     print(f"  persisted {outcome.intermediate_bytes} bytes of live global state "
@@ -55,17 +58,9 @@ def main() -> None:
     print(f"  persist latency on the simulated timeline: {outcome.persist_latency:.2f}s")
 
     print("\nResuming from the snapshot in a fresh executor...")
-    resumed = strategy.prepare_resume(
-        outcome.snapshot_path, executor.pipelines, executor.plan_fingerprint
-    )
-    final = QueryExecutor(
-        catalog,
-        plan,
-        profile=profile,
-        clock=SimulatedClock(),
-        query_name="Q3",
-        resume=resumed.resume_state,
-    ).run()
+    reload_latency = session.reload()
+    final = session.run_slice().result
+    print(f"  reload latency on the simulated timeline: {reload_latency:.2f}s")
     print(f"  resumed execution finished in {final.stats.duration:.1f}s of simulated time")
 
     matches = all(

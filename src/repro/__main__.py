@@ -48,7 +48,6 @@ import tempfile
 
 from repro.engine.backend import BACKEND_NAMES
 from repro.engine.clock import SimulatedClock
-from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.kernels import KERNEL_NAMES
 from repro.engine.profile import HardwareProfile
@@ -56,7 +55,7 @@ from repro.harness.report import format_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.storage.codec import CODEC_NAMES
-from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy
+from repro.suspend import QuerySession, make_strategy
 from repro.tpch import QUERY_NAMES, build_query, generate_catalog
 
 
@@ -174,11 +173,9 @@ def _execute(
     normal = QueryExecutor(
         catalog, plan, profile=profile, query_name=label, **exec_opts
     ).run()
-    codec_name = getattr(args, "codec", "raw")
-    strategy = (
-        ProcessLevelStrategy(profile, tracer=tracer, metrics=metrics, codec=codec_name)
-        if args.strategy == "process"
-        else PipelineLevelStrategy(profile, tracer=tracer, metrics=metrics, codec=codec_name)
+    strategy = make_strategy(
+        args.strategy, profile, tracer=tracer, metrics=metrics,
+        codec=getattr(args, "codec", "raw"),
     )
     lifecycle = None
     if recorder is not None:
@@ -187,22 +184,31 @@ def _execute(
         lifecycle = QueryLifecycle(
             label, 0.0, tracer, recorder, category="cloud", strategy=strategy.name
         )
-        strategy.lifecycle = lifecycle
-    controller = strategy.make_request_controller(normal.stats.duration * args.suspend_at)
-    executor = QueryExecutor(
+    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-cli-")
+    store = None
+    if args.incremental:
+        from repro.suspend import SnapshotStore
+
+        store = SnapshotStore(directory, incremental=True)
+    session = QuerySession(
         catalog,
         plan,
-        profile=profile,
-        controller=controller,
-        query_name=label,
+        label,
+        directory,
+        profile,
+        strategy=strategy,
+        store=store,
+        lifecycle=lifecycle,
         tracer=tracer,
         metrics=metrics,
         profiler=profiler,
         **exec_opts,
     )
-    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-cli-")
-    try:
-        result = executor.run()
+    piece = session.run_slice(
+        strategy.make_request_controller(normal.stats.duration * args.suspend_at)
+    )
+    if piece.kind == "complete":
+        result = piece.result
         if lifecycle is not None:
             lifecycle.span("run", 0.0, result.stats.finished_at)
             lifecycle.finish(result.stats.finished_at, suspended=False)
@@ -211,23 +217,17 @@ def _execute(
             print("query finished before the suspension point; results:")
             _print_chunk(result.chunk)
         return result
-    except QuerySuspended as suspended:
-        if lifecycle is not None:
-            lifecycle.span("run", 0.0, suspended.capture.clock_time)
-            lifecycle.instant("suspend", suspended.capture.clock_time, category="suspend")
-        outcome = strategy.persist(suspended.capture, directory)
-    snapshot_path = outcome.snapshot_path
-    if args.incremental:
-        from repro.suspend import SnapshotStore
-
-        store = SnapshotStore(directory, incremental=True)
-        record = store.register(outcome, label)
-        snapshot_path = store.materialize(record)
-        if verbose and record.is_delta:
-            print(
-                f"incremental: stored delta of sequence {record.delta_of} "
-                f"({record.file_bytes} bytes on disk)"
-            )
+    if lifecycle is not None:
+        lifecycle.span("run", 0.0, piece.end)
+        lifecycle.instant("suspend", piece.end, category="suspend", strategy=strategy.name)
+    # Nothing races the demo's suspension: the persisted slice always commits.
+    outcome = session.persist(piece)
+    record = session.commit(piece)
+    if verbose and record is not None and record.is_delta:
+        print(
+            f"incremental: stored delta of sequence {record.delta_of} "
+            f"({record.file_bytes} bytes on disk)"
+        )
     if verbose:
         encoded_note = ""
         if outcome.raw_bytes is not None and outcome.codec != "raw":
@@ -237,22 +237,8 @@ def _execute(
             f"({outcome.intermediate_bytes} bytes persisted via "
             f"{strategy.name}-level{encoded_note})"
         )
-    resumed = strategy.prepare_resume(
-        snapshot_path, executor.pipelines, executor.plan_fingerprint
-    )
-    resume_start = outcome.suspended_at + outcome.persist_latency + resumed.reload_latency
-    final = QueryExecutor(
-        catalog,
-        plan,
-        profile=profile,
-        clock=SimulatedClock(resume_start),
-        query_name=label,
-        resume=resumed.resume_state,
-        tracer=tracer,
-        metrics=metrics,
-        profiler=profiler,
-        **exec_opts,
-    ).run()
+    resume_start = outcome.suspended_at + outcome.persist_latency + session.reload()
+    final = session.run_slice(clock=SimulatedClock(resume_start)).result
     if lifecycle is not None:
         lifecycle.span("run:resumed", resume_start, final.stats.finished_at)
         lifecycle.finish(
@@ -526,136 +512,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_why(args: argparse.Namespace) -> int:
-    """Run a query adaptively and explain every suspension decision."""
-    import json as json_mod
+    """Run a query adaptively and explain every suspension decision.
 
-    from repro.cloud.events import sample_events
-    from repro.cloud.runner import QueryRunner
-    from repro.costmodel.optimizer_est import OptimizerSizeEstimator
-    from repro.costmodel.selector import AdaptiveStrategySelector
-    from repro.costmodel.termination import TerminationProfile
-    from repro.harness.report import estimator_accuracy, format_estimator_accuracy
-    from repro.obs.audit import DecisionJournal, ReplayMismatch, replay_journal
-    from repro.suspend.store import SnapshotStore
-
-    if args.name not in QUERY_NAMES:
-        print(f"unknown query {args.name}; expected one of {QUERY_NAMES}", file=sys.stderr)
-        return 2
-    if args.shards > 1:
-        return _cmd_why_dist(args)
-    catalog = _make_catalog(args.scale, args.seed)
-    profile = HardwareProfile()
-
-    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
-    journal = DecisionJournal()
-    optimized = _optimize(catalog, build_query(args.name), args.name, args, journal=journal)
-    plan = optimized.plan
-    store = SnapshotStore(directory, incremental=args.incremental)
-    runner = QueryRunner(
-        catalog, profile, snapshot_dir=directory, journal=journal, store=store,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
-    )
-    normal = runner.measure_normal(plan, args.name).stats.duration
-    termination = TerminationProfile.from_fractions(
-        normal, args.window[0], args.window[1], args.probability
-    )
-    if args.seed is None:
-        termination_seed = 42  # historical default, keeps old audits stable
-    else:
-        from repro.seeding import derive_seed
-
-        termination_seed = derive_seed(args.seed, "termination")
-    event = sample_events(termination, 1, seed=termination_seed)[0]
-    estimator = OptimizerSizeEstimator(catalog)
-    selector = AdaptiveStrategySelector(
-        profile=profile,
-        termination=termination,
-        process_size_estimator=lambda fraction: estimator.estimate_bytes(plan, fraction),
-        estimated_total_time=normal,
-        journal=journal,
-        estimator_label="optimizer",
-    )
-    outcome = runner.run_adaptive(plan, args.name, selector, normal, event.at_time)
-
-    # Counterfactuals: what each fixed strategy would actually have cost.
-    # Run on a journal-less runner so the main journal records only the
-    # adaptive deliberation, then summarize into `counterfactual` records.
-    side_runner = QueryRunner(
-        catalog, profile, snapshot_dir=directory,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
-    )
-    request = termination.t_start
-    for strategy in ("redo", "pipeline", "process"):
-        forced = side_runner.run_forced(
-            plan, args.name, strategy, normal, event.at_time, request
-        )
-        journal.append(
-            "counterfactual",
-            args.name,
-            forced.busy_time,
-            strategy=strategy,
-            busy_time=forced.busy_time,
-            overhead=forced.overhead,
-            suspended=forced.suspended,
-            suspension_failed=forced.suspension_failed,
-            terminated=forced.terminated,
-            intermediate_bytes=forced.intermediate_bytes,
-        )
-    store.save_journal(args.name, journal)
-    if args.journal_out:
-        journal.write_jsonl(args.journal_out)
-
-    accuracy = estimator_accuracy(journal)
-    if args.json:
-        counterfactuals = {
-            r.payload["strategy"]: r.payload for r in journal.by_kind("counterfactual")
-        }
-        payload = {
-            "query": args.name,
-            "scale": args.scale,
-            "normal_time": normal,
-            "termination": termination.to_json(),
-            "termination_at": event.at_time,
-            "outcome": {
-                "strategy": outcome.strategy,
-                "busy_time": outcome.busy_time,
-                "overhead": outcome.overhead,
-                "suspended": outcome.suspended,
-                "terminated": outcome.terminated,
-            },
-            "counterfactuals": counterfactuals,
-            "estimator_accuracy": accuracy,
-            "journal": [r.to_json() for r in journal.records],
-        }
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _print_why_report(args.name, normal, event, outcome, journal, accuracy)
-
-    if args.replay:
-        try:
-            results = replay_journal(journal, strict=True)
-        except ReplayMismatch as mismatch:
-            print(f"\nREPLAY FAILED: {mismatch}", file=sys.stderr)
-            return 1
-        print(
-            f"\nreplay: {len(results)} decision(s) re-derived bit-for-bit "
-            "from journaled inputs"
-        )
-    return 0
-
-
-def _cmd_why_dist(args: argparse.Namespace) -> int:
-    """``repro why --shards N``: audit Algorithm 1 on one shard's fragment.
-
-    The reclamation threat hits a single shard (the one holding the most
-    partitioned rows); the adaptive selector deliberates over that
-    shard's *fragment* — its inputs (state bytes, remaining time, threat
-    window) are all shard-local, which is exactly what makes per-shard
-    suspension cheaper than suspending the whole query.  Counterfactuals
-    force each fixed strategy on the same fragment under the same sampled
-    kill.
+    With ``--shards N`` the reclamation threat hits a single shard (the
+    one holding the most partitioned rows) and the audit runs over that
+    shard's *fragment*: the selector's inputs (state bytes, remaining
+    time, threat window) are all shard-local, which is exactly what makes
+    per-shard suspension cheaper than suspending the whole query.
+    Unsharded, the audited plan is simply the whole query.  Either way
+    the counterfactuals force each fixed strategy on the same plan under
+    the same sampled kill.
     """
     import json as json_mod
 
@@ -664,47 +530,51 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
     from repro.costmodel.optimizer_est import OptimizerSizeEstimator
     from repro.costmodel.selector import AdaptiveStrategySelector
     from repro.costmodel.termination import TerminationProfile
-    from repro.dist import Coordinator, ShardSuspension, partition_catalog, split_plan
-    from repro.harness.report import estimator_accuracy, format_shard_fragments
+    from repro.harness.report import estimator_accuracy
     from repro.obs.audit import DecisionJournal, ReplayMismatch, replay_journal
     from repro.suspend.store import SnapshotStore
 
+    if args.name not in QUERY_NAMES:
+        print(f"unknown query {args.name}; expected one of {QUERY_NAMES}", file=sys.stderr)
+        return 2
     catalog = _make_catalog(args.scale, args.seed)
     profile = HardwareProfile()
     directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
     journal = DecisionJournal()
     optimized = _optimize(catalog, build_query(args.name), args.name, args, journal=journal)
-    sharded = partition_catalog(catalog, args.shards, scheme=args.partition_scheme)
-    dist = split_plan(
-        sharded, optimized.plan, pushdown=optimized.flags.pushdown,
-        journal=journal, query_name=args.name,
-    )
     store = SnapshotStore(directory, incremental=args.incremental)
-    coordinator = Coordinator(
-        sharded,
-        profile,
-        morsel_size=args.morsel_size,
-        journal=journal,
-        store=store,
-        snapshot_dir=directory,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend,
-        kernels=args.kernels,
-    )
-    victim = coordinator.pick_victim(ShardSuspension())
-    victim_xid = coordinator.victim_exchange(dist, victim)
-    spec = dist.exchanges[victim_xid]
-    victim_label = f"{args.name}.x{victim_xid}.s{victim}"
-
-    # Journal-less side runner over the victim's shard: calibrates the
-    # fragment's threat-free time and runs the forced counterfactuals so
-    # the main journal records only the adaptive deliberation.
-    side_runner = QueryRunner(
-        sharded.catalog_for(victim), profile, snapshot_dir=directory,
+    run_opts = dict(
         select_operators=optimized.flags.selection_vectors,
         backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
     )
-    normal = side_runner.measure_normal(spec.fragment, victim_label).stats.duration
+    # What Algorithm 1 is audited on: the whole query, or (sharded) the
+    # victim shard's fragment under its per-shard label.
+    plan, label, plan_catalog = optimized.plan, args.name, catalog
+    if args.shards > 1:
+        from repro.dist import Coordinator, ShardSuspension, partition_catalog, split_plan
+        from repro.harness.report import format_shard_fragments
+
+        sharded = partition_catalog(catalog, args.shards, scheme=args.partition_scheme)
+        dist = split_plan(
+            sharded, optimized.plan, pushdown=optimized.flags.pushdown,
+            journal=journal, query_name=args.name,
+        )
+        coordinator = Coordinator(
+            sharded, profile, journal=journal, store=store, snapshot_dir=directory,
+            **run_opts,
+        )
+        victim = coordinator.pick_victim(ShardSuspension())
+        victim_xid = coordinator.victim_exchange(dist, victim)
+        spec = dist.exchanges[victim_xid]
+        plan, label, plan_catalog = (
+            spec.fragment, f"{args.name}.x{victim_xid}.s{victim}", sharded.catalog_for(victim)
+        )
+
+    # Journal-less side runner: calibrates the threat-free time and runs
+    # the forced counterfactuals, so the main journal records only the
+    # adaptive deliberation.
+    side_runner = QueryRunner(plan_catalog, profile, snapshot_dir=directory, **run_opts)
+    normal = side_runner.measure_normal(plan, label).stats.duration
     termination = TerminationProfile.from_fractions(
         normal, args.window[0], args.window[1], args.probability
     )
@@ -715,9 +585,9 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
 
         termination_seed = derive_seed(args.seed, "termination")
     event = sample_events(termination, 1, seed=termination_seed)[0]
-    estimator = OptimizerSizeEstimator(sharded.catalog_for(victim))
+    estimator = OptimizerSizeEstimator(plan_catalog)
 
-    def selector_factory(runner, fragment, label, normal_time):
+    def selector_factory(runner, fragment, fragment_label, normal_time):
         return AdaptiveStrategySelector(
             profile=profile,
             termination=termination,
@@ -729,22 +599,31 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
             estimator_label="optimizer",
         )
 
-    result = coordinator.run(
-        dist,
-        args.name,
-        suspend=ShardSuspension(victim=victim, termination_time=event.at_time),
-        selector_factory=selector_factory,
-    )
-    outcome = result.victim_outcome
+    if args.shards > 1:
+        result = coordinator.run(
+            dist,
+            args.name,
+            suspend=ShardSuspension(victim=victim, termination_time=event.at_time),
+            selector_factory=selector_factory,
+        )
+        outcome = result.victim_outcome
+    else:
+        runner = QueryRunner(
+            catalog, profile, snapshot_dir=directory, journal=journal, store=store,
+            **run_opts,
+        )
+        outcome = runner.run_adaptive(
+            plan, label, selector_factory(runner, plan, label, normal), normal, event.at_time
+        )
 
-    request = termination.t_start
+    # Counterfactuals: what each fixed strategy would actually have cost.
     for strategy in ("redo", "pipeline", "process"):
         forced = side_runner.run_forced(
-            spec.fragment, victim_label, strategy, normal, event.at_time, request
+            plan, label, strategy, normal, event.at_time, termination.t_start
         )
         journal.append(
             "counterfactual",
-            victim_label,
+            label,
             forced.busy_time,
             strategy=strategy,
             busy_time=forced.busy_time,
@@ -760,22 +639,9 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
 
     accuracy = estimator_accuracy(journal)
     if args.json:
-        counterfactuals = {
-            r.payload["strategy"]: r.payload for r in journal.by_kind("counterfactual")
-        }
         payload = {
             "query": args.name,
             "scale": args.scale,
-            "shards": result.shards,
-            "scheme": result.scheme,
-            "pushdown": dist.pushdown,
-            "bytes_shuffled": result.bytes_shuffled,
-            "victim": {
-                "shard": victim,
-                "exchange": victim_xid,
-                "base_table": spec.base_table,
-                "label": victim_label,
-            },
             "normal_time": normal,
             "termination": termination.to_json(),
             "termination_at": event.at_time,
@@ -786,24 +652,40 @@ def _cmd_why_dist(args: argparse.Namespace) -> int:
                 "suspended": outcome.suspended,
                 "terminated": outcome.terminated,
             },
-            "counterfactuals": counterfactuals,
+            "counterfactuals": {
+                r.payload["strategy"]: r.payload for r in journal.by_kind("counterfactual")
+            },
             "estimator_accuracy": accuracy,
             "journal": [r.to_json() for r in journal.records],
         }
+        if args.shards > 1:
+            payload.update(
+                shards=result.shards,
+                scheme=result.scheme,
+                pushdown=dist.pushdown,
+                bytes_shuffled=result.bytes_shuffled,
+                victim={
+                    "shard": victim,
+                    "exchange": victim_xid,
+                    "base_table": spec.base_table,
+                    "label": label,
+                },
+            )
         print(json_mod.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(
-            f"== {args.name}: sharded over {result.shards} shard(s) "
-            f"[{result.scheme}], {len(dist.exchanges)} exchange(s), "
-            f"{result.bytes_shuffled} bytes shuffled =="
-        )
-        print(
-            f"victim           : shard {victim}, fragment x{victim_xid} "
-            f"over {spec.base_table}"
-        )
-        print(format_shard_fragments(result.fragments))
-        print()
-        _print_why_report(victim_label, normal, event, outcome, journal, accuracy)
+        if args.shards > 1:
+            print(
+                f"== {args.name}: sharded over {result.shards} shard(s) "
+                f"[{result.scheme}], {len(dist.exchanges)} exchange(s), "
+                f"{result.bytes_shuffled} bytes shuffled =="
+            )
+            print(
+                f"victim           : shard {victim}, fragment x{victim_xid} "
+                f"over {spec.base_table}"
+            )
+            print(format_shard_fragments(result.fragments))
+            print()
+        _print_why_report(label, normal, event, outcome, journal, accuracy)
 
     if args.replay:
         try:

@@ -22,12 +22,12 @@ from pathlib import Path
 
 from repro.engine.clock import SimulatedClock
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.errors import QuerySuspended, QueryTerminated
-from repro.engine.executor import QueryExecutor, QueryResult, ResumeState
+from repro.engine.executor import QueryResult
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.storage.catalog import Catalog
 from repro.suspend.controller import CompositeController, TerminationController
+from repro.suspend.session import QuerySession
 from repro.suspend.strategy import SuspensionStrategy
 
 __all__ = [
@@ -166,7 +166,6 @@ class IntermittentRunner:
         self.strategy = strategy
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.morsel_size = morsel_size
         #: multiplier on the persist estimate when timing the suspension
         self.safety = safety
@@ -181,12 +180,16 @@ class IntermittentRunner:
             suspensions=0,
             lost_segments=0,
         )
-        resume_state: ResumeState | None = None
-        snapshot_path = None
-        pipelines = None
-        fingerprint = None
+        session = QuerySession(
+            self.catalog,
+            plan,
+            query_name,
+            self.snapshot_dir,
+            self.profile,
+            strategy=self.strategy,
+            morsel_size=self.morsel_size,
+        )
         for window in trace.windows:
-            clock = SimulatedClock()
             controllers: list[ExecutionController] = [TerminationController(window.duration)]
             if self.strategy.name in ("process", "pipeline"):
                 controllers.append(
@@ -194,66 +197,48 @@ class IntermittentRunner:
                         window.duration, self.profile, self.strategy.name, self.safety
                     )
                 )
-            executor = QueryExecutor(
-                self.catalog,
-                plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                controller=CompositeController(controllers),
-                query_name=query_name,
-                resume=resume_state,
+            # The window opens with the reload: the slice clock starts past
+            # it, so the reload counts as busy time and eats into the
+            # window's deadline like any other work.
+            piece = session.run_slice(
+                CompositeController(controllers), SimulatedClock(session.reload())
             )
-            pipelines = executor.pipelines
-            fingerprint = executor.plan_fingerprint
-            try:
-                result = executor.run()
-                outcome.busy_seconds += clock.now()
+            if piece.kind == "complete":
+                outcome.busy_seconds += piece.end
                 outcome.completed = True
-                outcome.finish_wall_time = window.start + clock.now()
-                outcome.result = result
+                outcome.finish_wall_time = window.start + piece.end
+                outcome.result = piece.result
                 outcome.segments.append(
-                    SegmentRecord(window, clock.now(), suspended=False, lost_progress=False)
+                    SegmentRecord(window, piece.end, suspended=False, lost_progress=False)
                 )
                 return outcome
-            except QuerySuspended as suspended:
-                persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
+            finish = None
+            if piece.kind == "suspend":
+                persisted = session.persist(piece)
                 finish = persisted.suspended_at + persisted.persist_latency
-                if finish > window.duration:
-                    # The snapshot did not reach storage before the outage.
-                    outcome.lost_segments += 1
-                    outcome.busy_seconds += window.duration
-                    outcome.segments.append(
-                        SegmentRecord(window, window.duration, suspended=True, lost_progress=True)
-                    )
-                    # Fall back to the previous snapshot (or scratch).
-                else:
-                    outcome.suspensions += 1
-                    outcome.busy_seconds += finish
-                    snapshot_path = persisted.snapshot_path
-                    outcome.segments.append(
-                        SegmentRecord(
-                            window,
-                            finish,
-                            suspended=True,
-                            lost_progress=False,
-                            persisted_bytes=persisted.intermediate_bytes,
-                        )
-                    )
-            except QueryTerminated:
-                # Outage hit before any suspension point was reached.
+            if finish is None or finish > window.duration:
+                # The outage hit before any suspension point was reached, or
+                # before the snapshot reached storage: the window's progress
+                # is lost and the next one falls back to the previous
+                # snapshot (or scratch).
                 outcome.lost_segments += 1
                 outcome.busy_seconds += window.duration
                 outcome.segments.append(
-                    SegmentRecord(window, window.duration, suspended=False, lost_progress=True)
+                    SegmentRecord(
+                        window, window.duration, suspended=finish is not None, lost_progress=True
+                    )
                 )
-            resume_state = self._reload(snapshot_path, pipelines, fingerprint)
+                continue
+            session.commit(piece)
+            outcome.suspensions += 1
+            outcome.busy_seconds += finish
+            outcome.segments.append(
+                SegmentRecord(
+                    window,
+                    finish,
+                    suspended=True,
+                    lost_progress=False,
+                    persisted_bytes=persisted.intermediate_bytes,
+                )
+            )
         return outcome
-
-    def _reload(self, snapshot_path, pipelines, fingerprint) -> ResumeState | None:
-        if snapshot_path is None:
-            return None
-        resumed = self.strategy.prepare_resume(snapshot_path, pipelines, fingerprint)
-        state = resumed.resume_state
-        state.clock_time = 0.0
-        return state

@@ -22,13 +22,11 @@ from pathlib import Path
 from repro.cloud.environment import PriceTrace
 from repro.engine.clock import SimulatedClock
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.errors import QuerySuspended
-from repro.engine.executor import QueryExecutor, QueryResult, ResumeState
+from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.storage.catalog import Catalog
-from repro.suspend.pipeline_level import PipelineLevelStrategy
-from repro.suspend.process_level import ProcessLevelStrategy
+from repro.suspend.session import QuerySession, make_strategy
 
 __all__ = ["PriceSegment", "PriceAwareOutcome", "PriceAwareRunner"]
 
@@ -130,14 +128,9 @@ class PriceAwareRunner:
         self.budget = budget_per_hour
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.morsel_size = morsel_size
         self.mode = strategy
-        self.strategy = (
-            PipelineLevelStrategy(self.profile)
-            if strategy == "pipeline"
-            else ProcessLevelStrategy(self.profile)
-        )
+        self.strategy = make_strategy(strategy, self.profile)
 
     def _next_affordable(self, wall: float) -> float:
         """First time at/after *wall* whose segment fits the budget."""
@@ -173,40 +166,37 @@ class PriceAwareRunner:
             query_name=query_name, finish_wall_time=start, busy_seconds=0.0,
             dollars=0.0, suspensions=0,
         )
+        session = QuerySession(
+            self.catalog,
+            plan,
+            query_name,
+            self.snapshot_dir,
+            self.profile,
+            strategy=self.strategy,
+            morsel_size=self.morsel_size,
+        )
         wall = self._next_affordable(start)
-        resume_state: ResumeState | None = None
         while True:
-            clock = SimulatedClock()
-            controller = _SpikeController(self.prices, self.budget, wall, self.mode)
-            executor = QueryExecutor(
-                self.catalog,
-                plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                controller=controller,
-                query_name=query_name,
-                resume=resume_state,
+            # The slice clock starts past the reload, so resuming is paid
+            # for in busy seconds and dollars like any other work.
+            piece = session.run_slice(
+                _SpikeController(self.prices, self.budget, wall, self.mode),
+                SimulatedClock(session.reload()),
             )
-            try:
-                result = executor.run()
-                self._account(outcome, wall, clock.now())
-                outcome.finish_wall_time = wall + clock.now()
-                outcome.busy_seconds += clock.now()
-                outcome.result = result
+            if piece.kind == "complete":
+                self._account(outcome, wall, piece.end)
+                outcome.finish_wall_time = wall + piece.end
+                outcome.busy_seconds += piece.end
+                outcome.result = piece.result
                 return outcome
-            except QuerySuspended as suspended:
-                persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
-                segment_end = clock.now() + persisted.persist_latency
-                self._account(outcome, wall, segment_end)
-                outcome.busy_seconds += segment_end
-                outcome.suspensions += 1
-                resumed = self.strategy.prepare_resume(
-                    persisted.snapshot_path, executor.pipelines, executor.plan_fingerprint
-                )
-                resume_state = resumed.resume_state
-                resume_state.clock_time = 0.0
-                wall = self._resume_after_spike(wall + segment_end)
+            # No deadline races a price spike: every persisted slice commits.
+            persisted = session.persist(piece)
+            session.commit(piece)
+            segment_end = piece.end + persisted.persist_latency
+            self._account(outcome, wall, segment_end)
+            outcome.busy_seconds += segment_end
+            outcome.suspensions += 1
+            wall = self._resume_after_spike(wall + segment_end)
 
     def run_through_spikes(self, plan: PlanNode, query_name: str, start: float = 0.0) -> PriceAwareOutcome:
         """Baseline: ignore prices and pay whatever the trace charges."""

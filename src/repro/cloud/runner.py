@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.costmodel.selector import AdaptiveStrategySelector, SelectorDecision
-from repro.engine.clock import SimulatedClock
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.errors import QuerySuspended, QueryTerminated
-from repro.engine.executor import QueryExecutor, QueryResult, resolve_morsel_size
+from repro.engine.executor import QueryResult, resolve_morsel_size
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal, resolve_adaptive_action
@@ -34,32 +32,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import QueryLifecycle, TimelineRecorder
 from repro.obs.trace import Tracer
 from repro.suspend.controller import CompositeController, TerminationController
-from repro.suspend.pipeline_level import PipelineLevelStrategy
-from repro.suspend.process_level import ProcessLevelStrategy
-from repro.suspend.redo import RedoStrategy
+from repro.suspend.session import QuerySession, make_strategy
 from repro.suspend.store import SnapshotStore
 from repro.suspend.strategy import SuspensionStrategy
 from repro.storage.catalog import Catalog
 
 __all__ = ["RunOutcome", "QueryRunner", "AdaptiveController", "make_strategy"]
-
-
-def make_strategy(
-    name: str,
-    profile: HardwareProfile,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    codec: str = "raw",
-) -> SuspensionStrategy:
-    """Strategy instance by name (``redo`` / ``pipeline`` / ``process``)."""
-    strategies = {
-        "redo": RedoStrategy,
-        "pipeline": PipelineLevelStrategy,
-        "process": ProcessLevelStrategy,
-    }
-    if name not in strategies:
-        raise KeyError(f"unknown strategy {name!r}; expected one of {sorted(strategies)}")
-    return strategies[name](profile, tracer=tracer, metrics=metrics, codec=codec)
 
 
 @dataclass
@@ -211,7 +189,6 @@ class QueryRunner:
         self.catalog = catalog
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.morsel_size = resolve_morsel_size(morsel_size)
         #: Worker backend / kernel set for every executor this runner
         #: builds — the forced, adaptive, and resumed runs all share one
@@ -267,8 +244,7 @@ class QueryRunner:
     # -- baselines -----------------------------------------------------------
     def measure_normal(self, plan: PlanNode, query_name: str) -> QueryResult:
         """Run without any threat; the paper's "normal execution time"."""
-        executor = self._executor(plan, query_name, SimulatedClock(), None)
-        return executor.run()
+        return self._session(plan, query_name, None).run_slice().result
 
     # -- forced strategy -------------------------------------------------------
     def run_forced(
@@ -285,41 +261,17 @@ class QueryRunner:
         ``termination_time`` is the sampled kill time (``None`` when the
         probabilistic termination does not occur).
         """
-        strategy = make_strategy(
-            strategy_name,
-            self.profile,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            codec=self.codec,
-        )
-        lifecycle = self._begin_lifecycle(query_name, strategy_name)
-        strategy.lifecycle = lifecycle
-        outcome = RunOutcome(
-            query_name=query_name,
-            strategy=strategy_name,
-            normal_time=normal_time,
-            busy_time=0.0,
-            termination_time=termination_time,
-        )
-        request = strategy.make_request_controller(request_time)
+        strategy = self._strategy(strategy_name)
         controllers: list[ExecutionController] = [TerminationController(termination_time)]
+        request = strategy.make_request_controller(request_time)
         if request is not None:
             controllers.append(request)
-        clock = SimulatedClock()
-        executor = self._executor(plan, query_name, clock, CompositeController(controllers))
-        try:
-            result = executor.run()
-            outcome.busy_time = clock.now()
-            outcome.result = result
-            if lifecycle is not None:
-                lifecycle.span("run", 0.0, outcome.busy_time)
-            return self._record_outcome(outcome)
-        except QueryTerminated as terminated:
-            return self._rerun_after_termination(outcome, plan, query_name, terminated.at_time)
-        except QuerySuspended as suspended:
-            return self._persist_and_resume(
-                outcome, plan, query_name, strategy, executor, suspended, termination_time
-            )
+        return self._drive(
+            plan,
+            RunOutcome(query_name, strategy_name, normal_time, 0.0, termination_time=termination_time),
+            strategy,
+            [CompositeController(controllers)],
+        )
 
     # -- adaptive ---------------------------------------------------------------
     def run_adaptive(
@@ -332,48 +284,13 @@ class QueryRunner:
     ) -> RunOutcome:
         """Algorithm 1 decides if/when/how to suspend."""
         adaptive = AdaptiveController(selector)
-        controller = CompositeController([TerminationController(termination_time), adaptive])
-        clock = SimulatedClock()
-        lifecycle = self._begin_lifecycle(query_name, "adaptive")
-        executor = self._executor(plan, query_name, clock, controller)
-        outcome = RunOutcome(
-            query_name=query_name,
-            strategy="adaptive",
-            normal_time=normal_time,
-            busy_time=0.0,
-            termination_time=termination_time,
+        return self._drive(
+            plan,
+            RunOutcome(query_name, "adaptive", normal_time, 0.0, termination_time=termination_time),
+            None,
+            [CompositeController([TerminationController(termination_time), adaptive])],
+            adaptive,
         )
-        try:
-            result = executor.run()
-            outcome.busy_time = clock.now()
-            outcome.result = result
-            outcome.decision = adaptive.decision
-            if adaptive.decision is not None:
-                outcome.strategy = adaptive.decision.chosen
-            if lifecycle is not None:
-                lifecycle.span("run", 0.0, outcome.busy_time)
-            self._record_estimator_error(selector, normal_time)
-            return self._record_outcome(outcome)
-        except QueryTerminated as terminated:
-            outcome.decision = adaptive.decision
-            if adaptive.decision is not None:
-                outcome.strategy = adaptive.decision.chosen
-            return self._rerun_after_termination(outcome, plan, query_name, terminated.at_time)
-        except QuerySuspended as suspended:
-            outcome.decision = adaptive.decision
-            strategy = make_strategy(
-                adaptive.decision.chosen,
-                self.profile,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                codec=self.codec,
-            )
-            strategy.lifecycle = lifecycle
-            outcome.strategy = adaptive.decision.chosen
-            self._record_estimator_error(selector, normal_time)
-            return self._persist_and_resume(
-                outcome, plan, query_name, strategy, executor, suspended, termination_time
-            )
 
     # -- multi-suspension (§VI extension) -----------------------------------------
     def run_multi_suspension(
@@ -390,73 +307,126 @@ class QueryRunner:
         latency grows roughly linearly with the number of suspensions
         (the proportionality the paper notes in §VI).
         """
-        strategy = make_strategy(
-            strategy_name,
-            self.profile,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            codec=self.codec,
+        strategy = self._strategy(strategy_name)
+        return self._drive(
+            plan,
+            RunOutcome(query_name, strategy_name, normal_time, 0.0),
+            strategy,
+            [strategy.make_request_controller(at) for at in request_times],
         )
-        lifecycle = self._begin_lifecycle(query_name, strategy_name)
-        strategy.lifecycle = lifecycle
-        outcome = RunOutcome(
-            query_name=query_name,
-            strategy=strategy_name,
-            normal_time=normal_time,
-            busy_time=0.0,
-        )
-        resume_state = None
-        pending = list(request_times)
-        while True:
-            clock = SimulatedClock()
-            base = outcome.busy_time
-            request = (
-                strategy.make_request_controller(pending.pop(0)) if pending else None
-            )
-            executor = self._executor(plan, query_name, clock, request, resume=resume_state)
-            try:
-                result = executor.run()
-                outcome.busy_time += clock.now()
-                outcome.result = result
-                if lifecycle is not None:
-                    lifecycle.span("run", base, outcome.busy_time)
-                return self._record_outcome(outcome)
-            except QuerySuspended as suspended:
-                persisted = strategy.persist(suspended.capture, self.snapshot_dir)
-                outcome.suspended = True
-                outcome.suspended_at = persisted.suspended_at
-                outcome.intermediate_bytes = max(
-                    outcome.intermediate_bytes, persisted.intermediate_bytes
-                )
-                outcome.persist_latency += persisted.persist_latency
-                if lifecycle is not None:
-                    lifecycle.span("run", base, base + clock.now())
-                outcome.busy_time += clock.now() + persisted.persist_latency
-                resumed = strategy.prepare_resume(
-                    persisted.snapshot_path, executor.pipelines, executor.plan_fingerprint
-                )
-                outcome.reload_latency += resumed.reload_latency
-                outcome.busy_time += resumed.reload_latency
-                resume_state = resumed.resume_state
 
     # -- internals -------------------------------------------------------------
-    def _executor(self, plan, query_name, clock, controller, resume=None) -> QueryExecutor:
-        return QueryExecutor(
+    def _strategy(self, name: str) -> SuspensionStrategy:
+        return make_strategy(
+            name, self.profile, tracer=self.tracer, metrics=self.metrics, codec=self.codec
+        )
+
+    def _session(
+        self, plan: PlanNode, query_name: str, strategy: SuspensionStrategy | None
+    ) -> QuerySession:
+        return QuerySession(
             self.catalog,
             plan,
-            profile=self.profile,
-            clock=clock,
-            morsel_size=self.morsel_size,
-            controller=controller,
-            query_name=query_name,
-            resume=resume,
+            query_name,
+            self.snapshot_dir,
+            self.profile,
+            strategy=strategy,
+            codec=self.codec,
+            store=self.store,
+            lifecycle=self._lifecycle,
             tracer=self.tracer,
             metrics=self.metrics,
+            morsel_size=self.morsel_size,
             select_operators=self.select_operators,
             backend=self.backend,
             kernels=self.kernels,
             exchange_inputs=self.exchange_inputs,
         )
+
+    def _drive(
+        self,
+        plan: PlanNode,
+        outcome: RunOutcome,
+        strategy: SuspensionStrategy | None,
+        controllers: list[ExecutionController | None],
+        adaptive: AdaptiveController | None = None,
+    ) -> RunOutcome:
+        """The one run loop: a slice per controller, then threat-free slices.
+
+        Busy time keeps clock origin 0 per slice and accumulates
+        ``persist end + reload + slice clock`` left to right.  The kill
+        beats a snapshot whose persist finishes at or after it
+        (``>=``): the suspension failed and the run restarts from
+        scratch, because the slice is never committed.
+        """
+        query_name = outcome.query_name
+        lifecycle = self._begin_lifecycle(query_name, outcome.strategy)
+        session = self._session(plan, query_name, strategy)
+        pending = list(controllers)
+        while True:
+            base = outcome.busy_time
+            piece = session.run_slice(pending.pop(0) if pending else None)
+            if adaptive is not None:
+                outcome.decision = adaptive.decision
+                if adaptive.decision is not None:
+                    outcome.strategy = adaptive.decision.chosen
+                if piece.kind != "terminate":
+                    self._record_estimator_error(adaptive.selector, outcome.normal_time)
+                adaptive = None
+            if piece.kind == "terminate":
+                return self._rerun_after_termination(outcome, session, piece.killed_at)
+            outcome.busy_time += piece.end
+            if lifecycle is not None:
+                lifecycle.span(
+                    "run:resumed" if outcome.suspended else "run", base, outcome.busy_time
+                )
+            if piece.kind == "complete":
+                outcome.result = piece.result
+                return self._record_outcome(outcome)
+            if lifecycle is not None:
+                lifecycle.instant(
+                    "suspend", outcome.busy_time, category="suspend", strategy=outcome.strategy
+                )
+            persisted = session.persist(piece)
+            outcome.suspended = True
+            outcome.suspended_at = persisted.suspended_at
+            outcome.intermediate_bytes = max(
+                outcome.intermediate_bytes, persisted.intermediate_bytes
+            )
+            outcome.persist_latency += persisted.persist_latency
+            if self.journal is not None:
+                self.journal.append(
+                    "suspend",
+                    query_name,
+                    outcome.busy_time,
+                    strategy=outcome.strategy,
+                    intermediate_bytes=persisted.intermediate_bytes,
+                    persist_latency=persisted.persist_latency,
+                    codec=persisted.codec,
+                )
+            outcome.busy_time += persisted.persist_latency
+            termination_time = outcome.termination_time
+            if termination_time is not None and outcome.busy_time >= termination_time:
+                # The kill arrived before the snapshot hit stable storage.
+                outcome.suspension_failed = True
+                return self._rerun_after_termination(outcome, session, termination_time)
+            session.commit(piece)
+            if self.store is not None and self.journal is not None:
+                # Persist the journal *at the suspension point*: if the
+                # process goes away before resuming, the decision history
+                # survives with the snapshot.
+                self.store.save_journal(query_name, self.journal)
+            reload = session.reload()
+            outcome.reload_latency += reload
+            outcome.busy_time += reload
+            if self.journal is not None:
+                self.journal.append(
+                    "resume",
+                    query_name,
+                    outcome.busy_time,
+                    strategy=outcome.strategy,
+                    reload_latency=reload,
+                )
 
     def _record_outcome(self, outcome: RunOutcome) -> RunOutcome:
         """Roll the finished run into the trace/metrics (accumulated cost)."""
@@ -542,9 +512,10 @@ class QueryRunner:
             )
 
     def _rerun_after_termination(
-        self, outcome: RunOutcome, plan: PlanNode, query_name: str, killed_at: float
+        self, outcome: RunOutcome, session: QuerySession, killed_at: float
     ) -> RunOutcome:
         """Progress lost at *killed_at*; re-run from scratch, threat-free."""
+        query_name = outcome.query_name
         outcome.terminated = True
         if self.journal is not None:
             self.journal.append(
@@ -576,87 +547,10 @@ class QueryRunner:
                 category="termination",
                 suspension_failed=outcome.suspension_failed,
             )
-        clock = SimulatedClock()
-        result = self._executor(plan, query_name, clock, None).run()
-        outcome.busy_time = killed_at + clock.now()
-        outcome.result = result
+        # Nothing was committed, so the session starts over.
+        piece = session.run_slice()
+        outcome.busy_time = killed_at + piece.end
+        outcome.result = piece.result
         if lifecycle is not None:
             lifecycle.span("rerun", killed_at, outcome.busy_time)
-        return self._record_outcome(outcome)
-
-    def _persist_and_resume(
-        self,
-        outcome: RunOutcome,
-        plan: PlanNode,
-        query_name: str,
-        strategy: SuspensionStrategy,
-        executor: QueryExecutor,
-        suspended: QuerySuspended,
-        termination_time: float | None,
-    ) -> RunOutcome:
-        lifecycle = self._lifecycle
-        if lifecycle is not None:
-            lifecycle.span("run", 0.0, suspended.capture.clock_time)
-            lifecycle.instant(
-                "suspend",
-                suspended.capture.clock_time,
-                category="suspend",
-                strategy=outcome.strategy,
-            )
-        persisted = strategy.persist(suspended.capture, self.snapshot_dir)
-        outcome.suspended = True
-        outcome.suspended_at = persisted.suspended_at
-        outcome.intermediate_bytes = persisted.intermediate_bytes
-        outcome.persist_latency = persisted.persist_latency
-        finish_persist = persisted.suspended_at + persisted.persist_latency
-        if self.journal is not None:
-            self.journal.append(
-                "suspend",
-                query_name,
-                persisted.suspended_at,
-                strategy=outcome.strategy,
-                intermediate_bytes=persisted.intermediate_bytes,
-                persist_latency=persisted.persist_latency,
-                codec=persisted.codec,
-            )
-        if termination_time is not None and finish_persist >= termination_time:
-            # The kill arrived before the snapshot hit stable storage.
-            outcome.suspension_failed = True
-            return self._rerun_after_termination(outcome, plan, query_name, termination_time)
-        snapshot_path = persisted.snapshot_path
-        if self.store is not None:
-            # Move the snapshot into the durable store and persist the
-            # journal *at the suspension point*: if the process goes away
-            # before resuming, the decision history survives with it.
-            record = self.store.register(persisted, query_name)
-            snapshot_path = self.store.materialize(record)
-            if self.journal is not None:
-                self.store.save_journal(query_name, self.journal)
-        resumed = strategy.prepare_resume(
-            snapshot_path, executor.pipelines, executor.plan_fingerprint
-        )
-        outcome.reload_latency = resumed.reload_latency
-        if self.journal is not None:
-            self.journal.append(
-                "resume",
-                query_name,
-                finish_persist + resumed.reload_latency,
-                strategy=outcome.strategy,
-                reload_latency=resumed.reload_latency,
-            )
-        clock = SimulatedClock()
-        remaining = self._executor(
-            plan, query_name, clock, None, resume=resumed.resume_state
-        )
-        result = remaining.run()
-        outcome.busy_time = (
-            finish_persist + resumed.reload_latency + clock.now()
-        )
-        outcome.result = result
-        if lifecycle is not None:
-            lifecycle.span(
-                "run:resumed",
-                finish_persist + resumed.reload_latency,
-                outcome.busy_time,
-            )
         return self._record_outcome(outcome)

@@ -21,8 +21,6 @@ from pathlib import Path
 
 from repro.cloud.segments import SegmentTimeline, segments_for
 from repro.engine.clock import SimulatedClock
-from repro.engine.errors import QuerySuspended
-from repro.engine.executor import QueryExecutor, ResumeState
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal
@@ -31,6 +29,7 @@ from repro.obs.timeline import QueryLifecycle, TimelineRecorder
 from repro.obs.trace import Tracer
 from repro.storage.catalog import Catalog
 from repro.suspend.pipeline_level import PipelineLevelStrategy
+from repro.suspend.session import QuerySession
 
 __all__ = ["QueryRequest", "QueryCompletion", "ScheduleReport", "SuspensionScheduler"]
 
@@ -105,7 +104,6 @@ class SuspensionScheduler:
         self.catalog = catalog
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.morsel_size = morsel_size
         self.tracer = tracer
         self.metrics = metrics
@@ -119,27 +117,9 @@ class SuspensionScheduler:
         report = ScheduleReport()
         now = 0.0
         for request in sorted(requests, key=lambda r: r.arrival_time):
-            start = max(now, request.arrival_time)
-            clock = SimulatedClock(start)
-            QueryExecutor(
-                self.catalog,
-                request.plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                query_name=request.name,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            ).run()
-            now = clock.now()
-            completion = QueryCompletion(
-                request.name,
-                request.arrival_time,
-                now,
-                segments=segments_for(request.arrival_time, start, now),
+            now = self._run_to_completion(
+                request, max(now, request.arrival_time), report, policy="fifo"
             )
-            report.completions.append(completion)
-            self._record_completion(completion, policy="fifo")
         return report
 
     def run_preemptive(self, requests: list[QueryRequest]) -> ScheduleReport:
@@ -157,30 +137,36 @@ class SuspensionScheduler:
         return report
 
     # -- internals -------------------------------------------------------------
-    def _run_to_completion(
-        self, request: QueryRequest, start: float, report: ScheduleReport, suspensions: int = 0
-    ) -> float:
-        clock = SimulatedClock(start)
-        QueryExecutor(
+    def _session(self, request: QueryRequest) -> QuerySession:
+        return QuerySession(
             self.catalog,
             request.plan,
-            profile=self.profile,
-            clock=clock,
-            morsel_size=self.morsel_size,
-            query_name=request.name,
+            request.name,
+            self.snapshot_dir,
+            self.profile,
+            strategy=self.strategy,
             tracer=self.tracer,
             metrics=self.metrics,
-        ).run()
+            morsel_size=self.morsel_size,
+        )
+
+    def _run_to_completion(
+        self,
+        request: QueryRequest,
+        start: float,
+        report: ScheduleReport,
+        policy: str = "preemptive",
+    ) -> float:
+        end = self._session(request).run_slice(clock=SimulatedClock(start)).end
         completion = QueryCompletion(
             request.name,
             request.arrival_time,
-            clock.now(),
-            suspensions,
-            segments=segments_for(request.arrival_time, start, clock.now()),
+            end,
+            segments=segments_for(request.arrival_time, start, end),
         )
         report.completions.append(completion)
-        self._record_completion(completion, policy="preemptive")
-        return clock.now()
+        self._record_completion(completion, policy=policy)
+        return end
 
     def _run_long_with_preemption(
         self,
@@ -190,7 +176,7 @@ class SuspensionScheduler:
         report: ScheduleReport,
     ) -> float:
         now = start
-        resume_state: ResumeState | None = None
+        session = self._session(request)
         suspensions = 0
         # The timeline attributes every gap between runs automatically:
         # queued before the first run (including time spent draining
@@ -198,74 +184,53 @@ class SuspensionScheduler:
         # suspending — historically unattributed), suspended afterwards.
         timeline = SegmentTimeline(request.arrival_time)
         while True:
-            # Interactive queries already waiting run before the long query
+            # Interactive queries already waiting (or arriving while the
+            # worker is busy with earlier ones) run before the long query
             # (re)occupies the worker.
-            while True:
-                ready = [r for r in pending if r.interactive and r.arrival_time <= now]
-                if not ready:
-                    break
-                short = ready[0]
-                pending.remove(short)
-                now = self._run_to_completion(short, max(now, short.arrival_time), report)
-            interactive_waiting = [r for r in pending if r.interactive]
+            now = self._drain_interactive(pending, now, report)
             next_arrival = min(
-                (r.arrival_time for r in interactive_waiting), default=None
+                (r.arrival_time for r in pending if r.interactive), default=None
             )
             run_start = now
-            clock = SimulatedClock(now)
             if next_arrival is not None and next_arrival > now:
                 controller = self.strategy.make_request_controller(next_arrival)
             else:
                 controller = None
-            executor = QueryExecutor(
-                self.catalog,
-                request.plan,
-                profile=self.profile,
-                clock=clock,
-                morsel_size=self.morsel_size,
-                controller=controller,
-                query_name=request.name,
-                resume=resume_state,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            try:
-                executor.run()
-                timeline.run(run_start, clock.now())
+            piece = session.run_slice(controller, SimulatedClock(now))
+            if piece.kind == "complete":
+                timeline.run(run_start, piece.end)
                 completion = QueryCompletion(
                     request.name,
                     request.arrival_time,
-                    clock.now(),
+                    piece.end,
                     suspensions,
                     segments=timeline.segments,
                 )
                 report.completions.append(completion)
                 self._record_completion(completion, policy="preemptive")
-                return clock.now()
-            except QuerySuspended as suspended:
-                persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
-                suspensions += 1
-                now = clock.now() + persisted.persist_latency
-                # Persisting is still busy time on the worker; the suspended
-                # gap starts once the snapshot is on stable storage.
-                timeline.run(run_start, now)
-                # Drain every interactive query that has arrived by now (or
-                # arrives while the worker is busy with earlier ones).
-                while True:
-                    ready = [
-                        r for r in pending if r.interactive and r.arrival_time <= now
-                    ]
-                    if not ready:
-                        break
-                    short = ready[0]
-                    pending.remove(short)
-                    now = self._run_to_completion(short, max(now, short.arrival_time), report)
-                resumed = self.strategy.prepare_resume(
-                    persisted.snapshot_path, executor.pipelines, executor.plan_fingerprint
-                )
-                now += resumed.reload_latency
-                resume_state = resumed.resume_state
-                resume_state.clock_time = 0.0
+                return piece.end
+            # No deadline races a preemption: every persisted slice commits.
+            persisted = session.persist(piece)
+            session.commit(piece)
+            suspensions += 1
+            now = piece.end + persisted.persist_latency
+            # Persisting is still busy time on the worker; the suspended
+            # gap starts once the snapshot is on stable storage.
+            timeline.run(run_start, now)
+            now = self._drain_interactive(pending, now, report)
+            now += session.reload()
+
+    def _drain_interactive(
+        self, pending: list[QueryRequest], now: float, report: ScheduleReport
+    ) -> float:
+        """Run every interactive query that has arrived by *now*, in order."""
+        while True:
+            ready = [r for r in pending if r.interactive and r.arrival_time <= now]
+            if not ready:
+                return now
+            short = ready[0]
+            pending.remove(short)
+            now = self._run_to_completion(short, max(now, short.arrival_time), report)
 
     def _record_completion(self, completion: QueryCompletion, policy: str) -> None:
         if self.journal is not None:

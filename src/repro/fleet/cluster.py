@@ -45,8 +45,7 @@ import numpy as np
 from repro.cloud.segments import SegmentTimeline
 from repro.engine.clock import SimulatedClock
 from repro.engine.controller import ExecutionController
-from repro.engine.errors import QuerySuspended, QueryTerminated
-from repro.engine.executor import QueryExecutor, ResumeState
+from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.fleet.admission import AdmissionController, FleetRejected, SchedulingPolicy
 from repro.fleet.events import (
@@ -70,6 +69,7 @@ from repro.seeding import derive_seed
 from repro.storage.catalog import Catalog
 from repro.suspend.controller import CompositeController, TerminationController
 from repro.suspend.pipeline_level import PipelineLevelStrategy
+from repro.suspend.session import QuerySession, Slice
 from repro.tpch import build_query
 
 __all__ = [
@@ -236,10 +236,8 @@ class _FleetQuery:
         self.suspensions = 0
         self.lost_segments = 0
         self.persisted_bytes = 0
-        self.snapshot_path = None
-        self.pipelines = None
-        self.fingerprint = None
-        #: macro-fidelity snapshot bookkeeping (None in engine fidelity)
+        #: owner of the suspended state, per fidelity: exactly one is set
+        self.session: QuerySession | None = None
         self.macro: MacroQueryState | None = None
         #: causal span tree (None when the fleet runs unobserved)
         self.lifecycle: QueryLifecycle | None = None
@@ -249,21 +247,7 @@ class _FleetQuery:
     @property
     def has_snapshot(self) -> bool:
         """Whether the next dispatch resumes from a snapshot."""
-        if self.snapshot_path is not None:
-            return True
-        return self.macro is not None and self.macro.has_snapshot
-
-
-@dataclass
-class _SliceOutcome:
-    """What one engine slice did: ``complete``/``suspend``/``terminate``."""
-
-    kind: str
-    end: float = 0.0
-    suspended_at: float = 0.0
-    persist_latency: float = 0.0
-    intermediate_bytes: int = 0
-    snapshot_path: Path | None = None
+        return (self.session or self.macro).has_snapshot
 
 
 class _SelectReadyQueue:
@@ -395,7 +379,6 @@ class FleetCluster:
             if snapshot_dir is not None
             else tempfile.mkdtemp(prefix="riveter-fleet-")
         )
-        self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.morsel_size = morsel_size
         self.mean_on_seconds = mean_on_seconds
         self.mean_off_seconds = mean_off_seconds
@@ -621,6 +604,16 @@ class FleetCluster:
         query.lifecycle = lifecycle
         if self.fidelity == "macro":
             query.macro = MacroQueryState()
+        else:
+            query.session = QuerySession(
+                self.catalog,
+                self._plan(arrival.query),
+                arrival.name,
+                self.snapshot_dir,
+                self.profile,
+                strategy=self.strategy,
+                morsel_size=self.morsel_size,
+            )
         self._requeue(query)
         self._sample_state(arrival.arrival_time)
 
@@ -713,52 +706,21 @@ class FleetCluster:
         start: float,
         window_end: float,
         request_at: float | None,
-    ) -> tuple[_SliceOutcome, float | None]:
+    ) -> tuple[Slice, float | None]:
         """One dispatch slice through the real morsel executor."""
-        resume_state: ResumeState | None = None
-        clock_start = start
+        session = query.session
         reload_end = None
-        if query.snapshot_path is not None:
-            # Fresh resume preparation per dispatch: the reload is paid
-            # every time the snapshot comes back off storage.
-            resumed = self.strategy.prepare_resume(
-                query.snapshot_path, query.pipelines, query.fingerprint
-            )
-            resume_state = resumed.resume_state
-            resume_state.clock_time = 0.0
-            clock_start = start + resumed.reload_latency
+        if session.has_snapshot:
             # Span emission is deferred until the slice's fate is known:
             # a reclamation can land mid-reload, which truncates it.
-            reload_end = clock_start
-        clock = SimulatedClock(clock_start)
-        controller = self._controllers(window_end, request_at)
-        executor = QueryExecutor(
-            self.catalog,
-            self._plan(query.arrival.query),
-            profile=self.profile,
-            clock=clock,
-            morsel_size=self.morsel_size,
-            controller=controller,
-            query_name=query.arrival.name,
-            resume=resume_state,
+            reload_end = start + session.reload()
+        piece = session.run_slice(
+            self._controllers(window_end, request_at),
+            SimulatedClock(start if reload_end is None else reload_end),
         )
-        query.pipelines = executor.pipelines
-        query.fingerprint = executor.plan_fingerprint
-        try:
-            executor.run()
-        except QuerySuspended as suspended:
-            persisted = self.strategy.persist(suspended.capture, self.snapshot_dir)
-            outcome = _SliceOutcome(
-                kind="suspend",
-                suspended_at=persisted.suspended_at,
-                persist_latency=persisted.persist_latency,
-                intermediate_bytes=persisted.intermediate_bytes,
-                snapshot_path=persisted.snapshot_path,
-            )
-            return outcome, reload_end
-        except QueryTerminated:
-            return _SliceOutcome(kind="terminate"), reload_end
-        return _SliceOutcome(kind="complete", end=clock.now()), reload_end
+        if piece.kind == "suspend":
+            session.persist(piece)
+        return piece, reload_end
 
     def _macro_slice(
         self,
@@ -775,8 +737,8 @@ class FleetCluster:
         prefix = 0
         durations: list[float] = []
         if macro.has_snapshot:
-            prefix = macro.file_prefix
-            durations = list(macro.file_durations)
+            prefix = macro.prefix
+            durations = list(macro.durations)
             clock_start = start + run_profile.reload_latency[prefix - 1]
             reload_end = clock_start
         outcome = run_macro_slice(
@@ -788,13 +750,7 @@ class FleetCluster:
             self.policy.preemptive and math.isfinite(window_end),
             request_at,
         )
-        if outcome.kind == "suspend":
-            # The snapshot file is overwritten on every persist attempt —
-            # even one that misses its window — so the *file* state always
-            # advances; only ``has_snapshot`` (set by the caller) gates on
-            # beating the reclamation.
-            macro.file_prefix = outcome.breaker + 1
-            macro.file_durations = list(durations)
+        outcome.durations = durations
         return outcome, reload_end
 
     def _run_slice(
@@ -814,79 +770,28 @@ class FleetCluster:
             outcome, reload_end = self._engine_slice(
                 query, start, window_end, request_at
             )
+        end = outcome.end
         if outcome.kind == "suspend":
             end = outcome.suspended_at + outcome.persist_latency
-            if end > window_end + _EPSILON:
-                # The snapshot missed the reclamation: the window's
-                # progress is lost and the query falls back to its
-                # previous snapshot (or scratch).
-                if lifecycle is not None:
-                    lifecycle.instant(
-                        "persist:missed-window",
-                        min(outcome.suspended_at, window_end),
-                        parent_id=slice_id,
-                        category="persist",
-                        persist_latency=outcome.persist_latency,
-                    )
-                self._reclaim(
-                    query, worker, start, window_end, result, reload_end=reload_end
-                )
-            else:
-                query.suspensions += 1
-                query.persisted_bytes += outcome.intermediate_bytes
-                snapshot_path = getattr(outcome, "snapshot_path", None)
-                if snapshot_path is not None:
-                    query.snapshot_path = snapshot_path
-                else:
-                    query.macro.has_snapshot = True
-                if lifecycle is not None:
-                    if reload_end is not None:
-                        lifecycle.span(
-                            f"reload:{self.strategy.name}",
-                            start,
-                            reload_end,
-                            parent_id=slice_id,
-                            category="resume",
-                        )
-                    lifecycle.instant(
-                        "suspend",
-                        outcome.suspended_at,
-                        parent_id=slice_id,
-                        category="suspend",
-                        suspensions=query.suspensions,
-                    )
-                    lifecycle.span(
-                        f"persist:{self.strategy.name}",
-                        outcome.suspended_at,
-                        end,
-                        parent_id=slice_id,
-                        category="persist",
-                        bytes=outcome.intermediate_bytes,
-                    )
-                self._finish_slice(
-                    query, worker, start, end, self._state.served_per_weight
-                )
-                if self.journal is not None:
-                    self.journal.append(
-                        "placement",
-                        query.arrival.name,
-                        end,
-                        policy=self.policy.name,
-                        step="preempt",
-                        worker=worker.wid,
-                        suspensions=query.suspensions,
-                        persisted_bytes=outcome.intermediate_bytes,
-                    )
-            self._requeue(query)
-            return
-        if outcome.kind == "terminate":
-            # Reclamation landed before any usable suspension point.
+        missed = outcome.kind == "suspend" and end > window_end + _EPSILON
+        if missed and lifecycle is not None:
+            lifecycle.instant(
+                "persist:missed-window",
+                min(outcome.suspended_at, window_end),
+                parent_id=slice_id,
+                category="persist",
+                persist_latency=outcome.persist_latency,
+            )
+        if missed or outcome.kind == "terminate":
+            # The reclamation landed before any usable suspension point, or
+            # before the snapshot reached storage: the window's progress is
+            # lost, the slice is never committed, and the query falls back
+            # to its last committed snapshot (or scratch).
             self._reclaim(
                 query, worker, start, window_end, result, reload_end=reload_end
             )
             self._requeue(query)
             return
-        end = outcome.end
         if lifecycle is not None and reload_end is not None:
             lifecycle.span(
                 f"reload:{self.strategy.name}",
@@ -895,8 +800,42 @@ class FleetCluster:
                 parent_id=slice_id,
                 category="resume",
             )
+        if outcome.kind == "complete":
+            self._finish_slice(query, worker, start, end, self._state.served_per_weight)
+            self._complete(query, end, worker, result)
+            return
+        query.suspensions += 1
+        query.persisted_bytes += outcome.intermediate_bytes
+        (query.session or query.macro).commit(outcome)
+        if lifecycle is not None:
+            lifecycle.instant(
+                "suspend",
+                outcome.suspended_at,
+                parent_id=slice_id,
+                category="suspend",
+                suspensions=query.suspensions,
+            )
+            lifecycle.span(
+                f"persist:{self.strategy.name}",
+                outcome.suspended_at,
+                end,
+                parent_id=slice_id,
+                category="persist",
+                bytes=outcome.intermediate_bytes,
+            )
         self._finish_slice(query, worker, start, end, self._state.served_per_weight)
-        self._complete(query, end, worker, result)
+        if self.journal is not None:
+            self.journal.append(
+                "placement",
+                query.arrival.name,
+                end,
+                policy=self.policy.name,
+                step="preempt",
+                worker=worker.wid,
+                suspensions=query.suspensions,
+                persisted_bytes=outcome.intermediate_bytes,
+            )
+        self._requeue(query)
 
     def _reclaim(
         self, query, worker, start, window_end, result: FleetResult, reload_end=None

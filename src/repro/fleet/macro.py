@@ -31,7 +31,7 @@ journal, or timeline artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,28 +165,13 @@ class QueryRunProfile:
         return len(self.pipe_start)
 
 
-class MacroQueryState:
-    """Mutable per-query snapshot bookkeeping in macro mode.
-
-    Mirrors the engine path's on-disk snapshot file: the *file* state is
-    overwritten on **every** persist attempt (even one that misses its
-    reclamation window — the write already happened), while
-    ``has_snapshot`` (the cluster's ``snapshot_path``) only advances on a
-    persist that beat the window.  A resume always restores the file
-    state.
-    """
-
-    __slots__ = ("file_prefix", "file_durations", "has_snapshot")
-
-    def __init__(self) -> None:
-        self.file_prefix = 0
-        self.file_durations: list[float] = []
-        self.has_snapshot = False
-
-
 @dataclass
 class MacroSliceOutcome:
-    """What one analytic slice did: ``complete``/``suspend``/``terminate``."""
+    """What one analytic slice did: ``complete``/``suspend``/``terminate``.
+
+    The analytic twin of :class:`repro.suspend.session.Slice`, read by
+    the cluster through the same attributes.
+    """
 
     kind: str
     end: float = 0.0
@@ -194,6 +179,31 @@ class MacroSliceOutcome:
     breaker: int = -1
     persist_latency: float = 0.0
     intermediate_bytes: int = 0
+    #: restored + finished per-pipeline durations of a ``suspend`` slice
+    durations: list[float] = field(default_factory=list)
+
+
+@dataclass
+class MacroQueryState:
+    """Per-query committed snapshot in macro mode.
+
+    The analytic twin of :class:`repro.suspend.session.QuerySession`'s
+    suspended state: a persist that misses its reclamation window is
+    never committed, so the next dispatch resumes from the last
+    committed prefix (or from scratch).
+    """
+
+    #: first unfinished pipeline position of the committed snapshot
+    prefix: int = 0
+    durations: list[float] = field(default_factory=list)
+
+    @property
+    def has_snapshot(self) -> bool:
+        return self.prefix > 0
+
+    def commit(self, outcome: MacroSliceOutcome) -> None:
+        self.prefix = outcome.breaker + 1
+        self.durations = outcome.durations
 
 
 def calibrate_query(

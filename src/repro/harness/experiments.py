@@ -39,13 +39,11 @@ from repro.costmodel.regression import (
 )
 from repro.costmodel.selector import AdaptiveStrategySelector
 from repro.costmodel.termination import TerminationProfile
-from repro.engine.errors import QuerySuspended
-from repro.engine.clock import SimulatedClock
-from repro.engine.executor import QueryExecutor
 from repro.engine.plan import count_operators, referenced_tables
 from repro.engine.profile import HardwareProfile
 from repro.storage.catalog import Catalog
 from repro.suspend.controller import SuspensionRequestController
+from repro.suspend.session import QuerySession
 from repro.tpch.dbgen import generate_catalog
 from repro.tpch.queries import QUERY_NAMES, build_query
 from repro.tpch.scale import PAPER_SF_LABELS, ScalePolicy
@@ -143,25 +141,21 @@ def _suspend_capture(
 ):
     """Run *query* and capture its state at *fraction* of execution time.
 
-    Returns ``(capture, controller, executor)``; ``capture`` is ``None``
-    when the query finished before the request could be honoured.
+    Returns ``(capture, controller)``; ``capture`` is ``None`` when the
+    query finished before the request could be honoured.
     """
     normal = config.normal_time(sf_label, query)
     controller = SuspensionRequestController(normal * fraction, mode=mode)
-    executor = QueryExecutor(
+    # The capture is measured, never persisted: the directory stays untouched.
+    session = QuerySession(
         config.catalog(sf_label),
         build_query(query),
-        profile=config.profile,
-        clock=SimulatedClock(),
+        query,
+        config.snapshot_dir or tempfile.gettempdir(),
+        config.profile,
         morsel_size=config.morsel_size,
-        controller=controller,
-        query_name=query,
     )
-    try:
-        executor.run()
-        return None, controller, executor
-    except QuerySuspended as suspended:
-        return suspended.capture, controller, executor
+    return session.run_slice(controller).capture, controller
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +169,7 @@ def run_fig6(config: ExperimentConfig | None = None) -> dict[str, dict[str, int]
     for sf_label in config.sf_labels:
         sizes[sf_label] = {}
         for query in config.queries:
-            capture, _, _ = _suspend_capture(config, sf_label, query, 0.5, "process")
+            capture, _ = _suspend_capture(config, sf_label, query, 0.5, "process")
             if capture is None:
                 sizes[sf_label][query] = 0
             else:
@@ -197,7 +191,7 @@ def run_fig7(
     for query in queries:
         sizes[query] = {}
         for fraction in fractions:
-            capture, _, _ = _suspend_capture(config, sf_label, query, fraction, "process")
+            capture, _ = _suspend_capture(config, sf_label, query, fraction, "process")
             if capture is None:
                 sizes[query][fraction] = 0
             else:
@@ -223,7 +217,7 @@ def run_fig8(config: ExperimentConfig | None = None) -> dict[str, dict[str, dict
     for sf_label in config.sf_labels:
         out[sf_label] = {}
         for query in config.queries:
-            capture, controller, _ = _suspend_capture(config, sf_label, query, 0.5, "pipeline")
+            capture, controller = _suspend_capture(config, sf_label, query, 0.5, "pipeline")
             if capture is None:
                 out[sf_label][query] = {"bytes": 0, "suspended": False, "join_ending": False}
                 continue
@@ -248,7 +242,7 @@ def run_fig9(
     for sf_label in config.sf_labels:
         lags[sf_label] = {}
         for query in queries:
-            capture, controller, _ = _suspend_capture(config, sf_label, query, fraction, "pipeline")
+            capture, controller = _suspend_capture(config, sf_label, query, fraction, "pipeline")
             if capture is None or controller.lag is None:
                 lags[sf_label][query] = float("nan")
             else:
@@ -328,7 +322,7 @@ def train_regression_estimator(
         for query in config.queries:
             plan = build_query(query)
             for fraction in fractions:
-                capture, _, _ = _suspend_capture(config, sf_label, query, fraction, "process")
+                capture, _ = _suspend_capture(config, sf_label, query, fraction, "process")
                 if capture is None:
                     continue
                 image = capture.memory_bytes + config.profile.process_context_bytes
@@ -539,7 +533,7 @@ def run_table4(
             if sf_label not in config.sf_labels:
                 continue
             catalog = config.catalog(sf_label)
-            capture, _, _ = _suspend_capture(config, sf_label, query, 0.5, "process")
+            capture, _ = _suspend_capture(config, sf_label, query, 0.5, "process")
             truth = (
                 0
                 if capture is None

@@ -10,6 +10,7 @@ from repro.suspend.data_level import DataLevelExecutor, DataLevelSnapshot
 from repro.suspend.pipeline_level import PipelineLevelStrategy
 from repro.suspend.process_level import ProcessLevelStrategy
 from repro.suspend.redo import RedoStrategy
+from repro.suspend.session import QuerySession, Slice, make_strategy
 from repro.suspend.snapshot import (
     DeltaSnapshot,
     PipelineSnapshot,
@@ -32,6 +33,9 @@ __all__ = [
     "PipelineLevelStrategy",
     "ProcessLevelStrategy",
     "RedoStrategy",
+    "QuerySession",
+    "Slice",
+    "make_strategy",
     "DeltaSnapshot",
     "PipelineSnapshot",
     "ProcessImage",

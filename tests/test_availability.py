@@ -9,6 +9,7 @@ from repro.cloud.availability import (
 )
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
+from repro.obs.metrics import MetricsRegistry
 from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy, RedoStrategy
 from repro.tpch import build_query
 
@@ -121,6 +122,26 @@ class TestIntermittentExecution:
         outcome = runner.run(build_query("Q3"), "Q3", trace)
         total_capacity = sum(w.duration for w in trace.windows)
         assert outcome.busy_seconds <= total_capacity + 1e-6
+
+    def test_busy_time_includes_every_reload(self, tpch_tiny, tmp_path, profile):
+        """Each window that resumes opens with its reload, inside the window."""
+        metrics = MetricsRegistry()
+        normal = self._normal(tpch_tiny, "Q17", profile)
+        runner = IntermittentRunner(
+            tpch_tiny, PipelineLevelStrategy(profile, metrics=metrics),
+            profile=profile, snapshot_dir=tmp_path, morsel_size=1024,
+        )
+        trace = AvailabilityTrace.periodic(normal.stats.duration * 0.6, 10.0, 12)
+        outcome = runner.run(build_query("Q17"), "Q17", trace)
+        reloads = metrics.histogram("reload_latency_seconds")
+        persists = metrics.histogram("persist_latency_seconds")
+        assert outcome.completed and outcome.lost_segments == 0
+        assert reloads.count == outcome.suspensions >= 1
+        assert reloads.total > 0
+        assert outcome.busy_seconds == pytest.approx(
+            normal.stats.duration + persists.total + reloads.total, rel=1e-9
+        )
+        assert all(s.busy_seconds <= s.window.duration for s in outcome.segments)
 
     def test_segments_recorded(self, tpch_tiny, tmp_path, profile):
         normal = self._normal(tpch_tiny, "Q3", profile)

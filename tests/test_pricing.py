@@ -6,6 +6,7 @@ from repro.cloud.environment import PriceTrace
 from repro.cloud.pricing import PriceAwareRunner
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
+from repro.obs.metrics import MetricsRegistry
 from repro.tpch import build_query
 
 from tests.conftest import assert_chunks_equal
@@ -119,6 +120,21 @@ class TestBudgetedExecution:
         outcome = runner.run_budgeted(build_query("Q6"), "Q6")
         covered = sum(s.end - s.start for s in outcome.segments)
         assert covered == pytest.approx(outcome.busy_seconds, rel=1e-6)
+
+    def test_busy_time_and_dollars_include_every_reload(self, tpch_tiny, pipeline_runner):
+        """Resuming is not free: each slice pays its reload (paper Eq. 3)."""
+        metrics = pipeline_runner.strategy.metrics = MetricsRegistry()
+        normal = QueryExecutor(tpch_tiny, build_query("Q3"), profile=HardwareProfile()).run()
+        outcome = pipeline_runner.run_budgeted(build_query("Q3"), "Q3")
+        reloads = metrics.histogram("reload_latency_seconds")
+        persists = metrics.histogram("persist_latency_seconds")
+        assert reloads.count == outcome.suspensions >= 1
+        assert reloads.total > 0
+        assert outcome.busy_seconds == pytest.approx(
+            normal.stats.duration + persists.total + reloads.total, rel=1e-9
+        )
+        billed = sum(s.end - s.start for s in outcome.segments)
+        assert billed == pytest.approx(outcome.busy_seconds, rel=1e-6)
 
     def test_unaffordable_everywhere_raises(self, tpch_tiny, tmp_path):
         trace = PriceTrace(

@@ -36,6 +36,17 @@ class TestQueryCommand:
         assert "suspended at" in output
         assert "resumed and finished" in output
 
+    @pytest.mark.parametrize("extra", [[], ["--incremental"]])
+    def test_suspend_creates_missing_snapshot_dir(self, capsys, tmp_path, extra):
+        directory = tmp_path / "not" / "yet" / "there"
+        code = main([
+            "query", "--scale", "0.002", "--name", "Q9", "--suspend-at", "0.5",
+            "--snapshot-dir", str(directory), *extra,
+        ])
+        assert code == 0
+        assert "resumed and finished" in capsys.readouterr().out
+        assert any(directory.glob("Q9.pipeline.*"))
+
     def test_process_strategy_flow(self, capsys):
         code = main([
             "query", "--scale", "0.002", "--name", "Q3",

@@ -460,76 +460,56 @@ class QueryExecutor:
         the operator chain, and ``sink.prepare`` (a pure function of the
         chunk) — never the clock, stats, memory accountant, or sink
         states.
+
+        With a profiler attached, the same compute in the same order also
+        takes a ``perf_counter`` mark per operator slot and advances the
+        shared kernel recorder's ``slot``, so the active
+        :class:`~repro.obs.profile.ProfilingKernels` wrapper attributes
+        kernel wall time to the operator that triggered the call.  The
+        resulting wall-clock delta rides on the ``MorselResult`` and never
+        touches snapshots.
         """
-        if self.profiler is not None:
-            return self._compute_morsel_profiled(run, index)
         pipeline = run.pipeline
+        recorder = marks = None
+        if self.profiler is not None:
+            recorder = self.profiler.kernel_recorder
+            recorder.begin()
+            marks = [time.perf_counter()]
         chunk = run.source.get_morsel(index)
         op_rows = [int(chunk.num_rows)]
         op_bytes = [int(chunk.nbytes)]
-        for operator in pipeline.operators:
+        for slot, operator in enumerate(pipeline.operators, start=1):
+            if recorder is not None:
+                marks.append(time.perf_counter())
+                recorder.slot = slot
             chunk = operator.execute(chunk)
             op_rows.append(int(chunk.num_rows))
             op_bytes.append(int(chunk.nbytes))
+        if recorder is not None:
+            marks.append(time.perf_counter())
+            recorder.slot = len(pipeline.operators) + 1
         # Sinks (and therefore all buffered/serialized state) only ever see
         # selection-free chunks; deferred gathers land here at the latest.
         chunk = chunk.materialize()
         prepared = pipeline.sink.prepare(chunk)
-        return MorselResult(
-            morsel_index=index,
-            op_rows=op_rows,
-            op_bytes=op_bytes,
-            sink_rows=int(chunk.num_rows),
-            prepared=prepared,
-        )
-
-    def _compute_morsel_profiled(self, run: _PipelineRun, index: int) -> MorselResult:
-        """Profiled twin of :meth:`compute_morsel`.
-
-        Identical compute in identical order, plus ``perf_counter``
-        marks per operator slot.  The shared kernel recorder's ``slot``
-        is advanced alongside, so the active :class:`~repro.obs.profile.
-        ProfilingKernels` wrapper attributes kernel wall time to the
-        operator that triggered the call.  The resulting wall-clock
-        delta rides on the ``MorselResult`` and never touches snapshots.
-        """
-        morsel_profile_cls = _morsel_profile_cls()
-        recorder = self.profiler.kernel_recorder
-        pipeline = run.pipeline
-        recorder.begin()
-        started = time.perf_counter()
-        chunk = run.source.get_morsel(index)
-        mark = time.perf_counter()
-        op_wall = [mark - started]
-        op_rows = [int(chunk.num_rows)]
-        op_bytes = [int(chunk.nbytes)]
-        for slot, operator in enumerate(pipeline.operators, start=1):
-            recorder.slot = slot
-            chunk = operator.execute(chunk)
-            now = time.perf_counter()
-            op_wall.append(now - mark)
-            mark = now
-            op_rows.append(int(chunk.num_rows))
-            op_bytes.append(int(chunk.nbytes))
-        recorder.slot = len(pipeline.operators) + 1
-        chunk = chunk.materialize()
-        prepared = pipeline.sink.prepare(chunk)
-        ended = time.perf_counter()
-        op_wall.append(ended - mark)
-        return MorselResult(
-            morsel_index=index,
-            op_rows=op_rows,
-            op_bytes=op_bytes,
-            sink_rows=int(chunk.num_rows),
-            prepared=prepared,
-            profile=morsel_profile_cls(
+        profile = None
+        if recorder is not None:
+            marks.append(time.perf_counter())
+            profile = _morsel_profile_cls()(
                 morsel_index=index,
                 pid=os.getpid(),
-                started=started,
-                ended=ended,
-                op_wall=op_wall,
+                started=marks[0],
+                ended=marks[-1],
+                op_wall=[end - start for start, end in zip(marks, marks[1:])],
                 kernel_wall=recorder.take(),
-            ),
+            )
+        return MorselResult(
+            morsel_index=index,
+            op_rows=op_rows,
+            op_bytes=op_bytes,
+            sink_rows=int(chunk.num_rows),
+            prepared=prepared,
+            profile=profile,
         )
 
     def apply_morsel(self, run: _PipelineRun, result: MorselResult) -> None:
@@ -742,9 +722,9 @@ class QueryExecutor:
             live |= pipeline.dependencies & set(self.completed_states)
         return live
 
-    def _capture_pipeline(self) -> ExecutionCapture:
+    def _capture(self, kind: str, running: int | None = None) -> ExecutionCapture:
         return ExecutionCapture(
-            kind="pipeline",
+            kind=kind,
             query_name=self.query_name,
             plan_fingerprint=self.plan_fingerprint,
             clock_time=self.clock.now(),
@@ -753,29 +733,19 @@ class QueryExecutor:
             completed_states=dict(self.completed_states),
             stats=self.stats,
             memory_bytes=self.memory.total_bytes,
-            live_pipelines=self.live_pipeline_ids(),
+            live_pipelines=self.live_pipeline_ids(running),
             skipped_pipelines=set(self.skipped_pipelines),
         )
 
+    def _capture_pipeline(self) -> ExecutionCapture:
+        return self._capture("pipeline")
+
     def _capture_process(self, run: _PipelineRun | None) -> ExecutionCapture:
-        capture = ExecutionCapture(
-            kind="process",
-            query_name=self.query_name,
-            plan_fingerprint=self.plan_fingerprint,
-            clock_time=self.clock.now(),
-            num_threads=self.profile.num_threads,
-            morsel_size=self.morsel_size,
-            completed_states=dict(self.completed_states),
-            stats=self.stats,
-            memory_bytes=self.memory.total_bytes,
-            live_pipelines=self.live_pipeline_ids(
-                None if run is None else run.pipeline.pipeline_id
-            ),
-            skipped_pipelines=set(self.skipped_pipelines),
-        )
-        if run is not None:
-            capture.current_pipeline = run.pipeline.pipeline_id
-            capture.next_morsel = run.next_morsel
-            capture.rows_in_pipeline = run.rows_processed
-            capture.local_states = list(run.local_states)
+        if run is None:
+            return self._capture("process")
+        capture = self._capture("process", running=run.pipeline.pipeline_id)
+        capture.current_pipeline = run.pipeline.pipeline_id
+        capture.next_morsel = run.next_morsel
+        capture.rows_in_pipeline = run.rows_processed
+        capture.local_states = list(run.local_states)
         return capture

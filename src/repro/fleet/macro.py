@@ -40,7 +40,7 @@ from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.storage import codec as codec_mod
-from repro.suspend.snapshot import PipelineSnapshot
+from repro.suspend.snapshot import Snapshot
 
 __all__ = [
     "QueryRunProfile",
@@ -112,7 +112,7 @@ class _CalibrationController(ExecutionController):
         self.checks.append((position, context.pipeline_pos))
         self._last_breaker = position
         self.live_bytes.append(int(context.pipeline_state_bytes))
-        snapshot = PipelineSnapshot.from_capture(
+        snapshot = Snapshot.from_capture(
             context.executor._capture_pipeline(), codec_name=self.codec
         )
         nbytes = snapshot.intermediate_bytes

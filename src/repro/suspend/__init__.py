@@ -11,14 +11,7 @@ from repro.suspend.pipeline_level import PipelineLevelStrategy
 from repro.suspend.process_level import ProcessLevelStrategy
 from repro.suspend.redo import RedoStrategy
 from repro.suspend.session import QuerySession, Slice, make_strategy
-from repro.suspend.snapshot import (
-    DeltaSnapshot,
-    PipelineSnapshot,
-    ProcessImage,
-    SnapshotError,
-    hash_blob,
-    read_snapshot_header,
-)
+from repro.suspend.snapshot import Snapshot, SnapshotError, SnapshotFile, hash_blob
 from repro.suspend.store import SnapshotRecord, SnapshotStore
 from repro.suspend.strategy import ResumeOutcome, SuspendOutcome, SuspensionStrategy
 
@@ -36,12 +29,10 @@ __all__ = [
     "QuerySession",
     "Slice",
     "make_strategy",
-    "DeltaSnapshot",
-    "PipelineSnapshot",
-    "ProcessImage",
+    "Snapshot",
     "SnapshotError",
+    "SnapshotFile",
     "hash_blob",
-    "read_snapshot_header",
     "SnapshotRecord",
     "SnapshotStore",
     "ResumeOutcome",

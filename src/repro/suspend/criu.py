@@ -25,7 +25,7 @@ from repro.engine.executor import ExecutionCapture, ResumeState
 from repro.engine.pipeline import Pipeline
 from repro.engine.profile import HardwareProfile
 from repro.obs.trace import Tracer
-from repro.suspend.snapshot import ProcessImage
+from repro.suspend.snapshot import Snapshot, SnapshotError
 
 __all__ = ["CriuError", "SimulatedCriu"]
 
@@ -47,12 +47,14 @@ class SimulatedCriu:
         self.tracer = tracer
         self.codec = codec
 
-    def dump(self, capture: ExecutionCapture, path: str | os.PathLike) -> ProcessImage:
+    def dump(self, capture: ExecutionCapture, path: str | os.PathLike) -> Snapshot:
         """Write a process image for *capture* to *path*."""
         if capture.kind != "process":
             raise CriuError(f"CRIU dumps whole processes; got a {capture.kind!r} capture")
-        image = ProcessImage.from_capture(
-            capture, self.profile.process_context_bytes, codec_name=self.codec
+        image = Snapshot.from_capture(
+            capture,
+            codec_name=self.codec,
+            process_context_bytes=self.profile.process_context_bytes,
         )
         image.write(path)
         if self.tracer is not None:
@@ -70,7 +72,7 @@ class SimulatedCriu:
 
     def restore(
         self,
-        image: ProcessImage,
+        image: Snapshot,
         pipelines: list[Pipeline],
         profile: HardwareProfile,
         plan_fingerprint: str,
@@ -80,26 +82,16 @@ class SimulatedCriu:
         Raises :class:`CriuError` if the target *profile* differs from the
         configuration at dump time or the plan fingerprint does not match.
         """
-        if image.meta.plan_fingerprint != plan_fingerprint:
-            raise CriuError("process image was dumped from a different query plan")
+        try:
+            resume = image.resume_state(pipelines, plan_fingerprint)
+        except SnapshotError as exc:
+            raise CriuError(str(exc)) from exc
         if profile.num_threads != image.meta.num_threads:
             raise CriuError(
                 "process-level restore requires an identical resource "
                 f"configuration: image has {image.meta.num_threads} workers, "
                 f"target has {profile.num_threads}"
             )
-        by_id = {p.pipeline_id: p for p in pipelines}
-        completed = {}
-        for pid, blob in image.state_blobs.items():
-            if pid not in by_id:
-                raise CriuError(f"image references unknown pipeline {pid}")
-            completed[pid] = by_id[pid].sink.deserialize_global_state(blob)
-        local_states = None
-        if image.current_pipeline is not None:
-            sink = by_id[image.current_pipeline].sink
-            local_states = [
-                sink.deserialize_local_state(blob) for blob in image.local_state_blobs
-            ]
         if self.tracer is not None:
             self.tracer.instant(
                 "resume",
@@ -110,22 +102,11 @@ class SimulatedCriu:
                 mid_pipeline=image.current_pipeline,
                 next_morsel=image.next_morsel,
             )
-        return ResumeState(
-            completed_states=completed,
-            stats=image.stats,
-            clock_time=0.0,
-            current_pipeline=image.current_pipeline,
-            next_morsel=image.next_morsel,
-            rows_in_pipeline=image.rows_in_pipeline,
-            local_states=local_states,
-            # The morsel cursor counts morsels, so a mid-pipeline restore
-            # also pins the morsel size (enforced by the executor).
-            morsel_size=image.meta.morsel_size,
-        )
+        return resume
 
     @staticmethod
-    def read_image(path: str | os.PathLike) -> ProcessImage:
+    def read_image(path: str | os.PathLike) -> Snapshot:
         """Load a previously dumped image."""
         if not Path(path).exists():
             raise CriuError(f"no process image at {path}")
-        return ProcessImage.read(path)
+        return Snapshot.read(path, "process")

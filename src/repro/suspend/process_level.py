@@ -10,18 +10,11 @@ and resumption demands an identical resource configuration (§III-A).
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
-from repro.engine.executor import ExecutionCapture
-from repro.engine.pipeline import Pipeline
 from repro.engine.profile import HardwareProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.storage import codec as codec_mod
-from repro.suspend.controller import SuspensionRequestController
 from repro.suspend.criu import SimulatedCriu
-from repro.suspend.strategy import ResumeOutcome, SuspendOutcome, SuspensionStrategy
+from repro.suspend.strategy import SuspensionStrategy
 
 __all__ = ["ProcessLevelStrategy"]
 
@@ -30,6 +23,7 @@ class ProcessLevelStrategy(SuspensionStrategy):
     """Suspend anytime; dump and restore full process images via CRIU."""
 
     name = "process"
+    file_extension = "image"
 
     def __init__(
         self,
@@ -41,50 +35,9 @@ class ProcessLevelStrategy(SuspensionStrategy):
         super().__init__(profile, tracer=tracer, metrics=metrics, codec=codec)
         self.criu = SimulatedCriu(profile, tracer=tracer, codec=codec)
 
-    def make_request_controller(self, request_time: float) -> SuspensionRequestController:
-        return SuspensionRequestController(
-            request_time, mode="process", tracer=self.tracer, metrics=self.metrics
-        )
+    def _dump(self, capture, path):
+        return self.criu.dump(capture, path)
 
-    def persist(self, capture: ExecutionCapture, directory: str | os.PathLike) -> SuspendOutcome:
-        path = Path(directory) / f"{capture.query_name}.process.image"
-        image = self.criu.dump(capture, path)
-        nbytes = image.intermediate_bytes
-        persist_latency = self.profile.persist_latency(nbytes) + codec_mod.encode_cost_seconds(
-            image.codec_stats, self.profile.io_time_scale
-        )
-        outcome = SuspendOutcome(
-            strategy=self.name,
-            snapshot_path=path,
-            intermediate_bytes=nbytes,
-            persist_latency=persist_latency,
-            suspended_at=capture.clock_time,
-            raw_bytes=image.raw_state_bytes,
-            codec=self.codec,
-        )
-        self._record_persist(outcome)
-        return outcome
-
-    def prepare_resume(
-        self,
-        snapshot_path: str | os.PathLike,
-        pipelines: list[Pipeline],
-        plan_fingerprint: str,
-        profile: HardwareProfile | None = None,
-    ) -> ResumeOutcome:
-        image = SimulatedCriu.read_image(snapshot_path)
-        target_profile = profile or self.profile
-        resume = self.criu.restore(image, pipelines, target_profile, plan_fingerprint)
-        reload_latency = target_profile.reload_latency(
-            image.intermediate_bytes
-        ) + codec_mod.decode_cost_seconds(image.codec_stats, target_profile.io_time_scale)
-        outcome = ResumeOutcome(
-            strategy=self.name, resume_state=resume, reload_latency=reload_latency
-        )
-        self._record_reload(
-            outcome,
-            image.meta.clock_time
-            + self.profile.persist_latency(image.intermediate_bytes),
-            image.intermediate_bytes,
-        )
-        return outcome
+    def _load(self, path, pipelines, plan_fingerprint, profile):
+        image = SimulatedCriu.read_image(path)
+        return image, self.criu.restore(image, pipelines, profile, plan_fingerprint)

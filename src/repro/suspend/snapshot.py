@@ -1,37 +1,46 @@
-"""Persisted suspension snapshots.
+"""Persisted suspension snapshots: one dataclass, one file container.
 
-Two on-disk artifacts exist, mirroring the paper's two persisting
-strategies:
+A :class:`Snapshot` is the serialized form of an
+:class:`~repro.engine.executor.ExecutionCapture`.  The paper's two
+persisting strategies differ only in its ``kind``:
 
-* :class:`PipelineSnapshot` — written at a pipeline breaker; contains the
-  *live* global states (those still needed by unfinished pipelines), the
-  set of completed pipeline ids, and execution statistics.
-* :class:`ProcessImage` — written by the simulated CRIU at any morsel
-  boundary; contains *everything*: all completed global states, the
-  in-flight pipeline's worker-local states and morsel cursor, the memory
-  accountant balance, and the resource configuration that must match on
-  restore.
+* ``"pipeline"`` — taken at a pipeline breaker; keeps the *live* global
+  states (those unfinished pipelines still need) and sizes the persisted
+  data by the encoded blobs themselves.
+* ``"process"`` — taken by the simulated CRIU at any morsel boundary;
+  keeps *every* completed global state plus the in-flight pipeline's
+  worker-local states and morsel cursor, and sizes the persisted data by
+  the process's allocated memory plus a fixed context overhead.
 
-Both embed the plan fingerprint; resuming against a different plan is
-rejected (the paper assumes plans are unchanged across suspension, §VI).
+Both record the finished-pipeline set and the plan fingerprint; resuming
+against a different plan is rejected (the paper assumes plans are
+unchanged across suspension, §VI).
 
-Snapshots are codec-aware and content-addressed: per-pipeline global
-states may be encoded through :mod:`repro.storage.codec` (the header then
-records the codec, raw-vs-encoded byte accounting, and per-state SHA-256
-hashes), and a third on-disk artifact — the *delta snapshot*
-(``RIVDELT1``) — stores only states whose hash changed since a base
-snapshot, referencing the base's segments for the rest.  Deltas are
-written and resolved by :class:`repro.suspend.store.SnapshotStore`.
+Every snapshot file — pipeline snapshot, process image, and the *delta*
+the :class:`~repro.suspend.store.SnapshotStore` rewrites them into — is
+one container, written by :func:`write_container` and read front to back
+by :class:`SnapshotFile`::
+
+    magic (8 bytes) | header JSON | state blobs (ascending id) | local blobs
+
+The header lists the ids of the state blobs that follow and the number of
+local blobs; every blob is length-prefixed.  Snapshots are codec-aware and
+content-addressed: states may be encoded through
+:mod:`repro.storage.codec`, and the header records the codec, the
+raw-vs-encoded byte accounting and a SHA-256 per state, which is what lets
+a delta store only the states whose hash changed since a base snapshot.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.engine.executor import ExecutionCapture
+from repro.engine.executor import ExecutionCapture, ResumeState
+from repro.engine.pipeline import Pipeline
 from repro.engine.stats import OperatorStats, PipelineStats, QueryStats
 from repro.storage import codec as codec_mod
 from repro.storage import serialize
@@ -39,19 +48,15 @@ from repro.storage import serialize
 __all__ = [
     "SnapshotError",
     "SnapshotMeta",
-    "PipelineSnapshot",
-    "ProcessImage",
-    "DeltaSnapshot",
+    "Snapshot",
+    "SnapshotFile",
     "hash_blob",
-    "read_snapshot_header",
+    "write_container",
     "write_delta_snapshot",
-    "read_delta_snapshot",
-    "extract_state_blob",
 ]
 
-_MAGIC_PIPELINE = b"RIVSNAP1"
-_MAGIC_PROCESS = b"RIVPROC1"
-_MAGIC_DELTA = b"RIVDELT1"
+_MAGIC = {"pipeline": b"RIVSNAP1", "process": b"RIVPROC1", "delta": b"RIVDELT1"}
+_KIND_OF_MAGIC = {magic: kind for kind, magic in _MAGIC.items()}
 _MAGIC_LEN = 8
 
 
@@ -66,7 +71,7 @@ class SnapshotError(ValueError):
 
 @dataclass
 class SnapshotMeta:
-    """Common snapshot header."""
+    """Common snapshot header: the fields, in order, are the ``meta`` keys."""
 
     strategy: str
     query_name: str
@@ -76,145 +81,253 @@ class SnapshotMeta:
     morsel_size: int
     memory_bytes: int
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "query_name": self.query_name,
-            "plan_fingerprint": self.plan_fingerprint,
-            "clock_time": self.clock_time,
-            "num_threads": self.num_threads,
-            "morsel_size": self.morsel_size,
-            "memory_bytes": self.memory_bytes,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "SnapshotMeta":
-        return cls(
-            strategy=payload["strategy"],
-            query_name=payload["query_name"],
-            plan_fingerprint=payload["plan_fingerprint"],
-            clock_time=float(payload["clock_time"]),
-            num_threads=int(payload["num_threads"]),
-            morsel_size=int(payload["morsel_size"]),
-            memory_bytes=int(payload["memory_bytes"]),
-        )
-
-
-def _stats_to_json(stats: QueryStats) -> dict:
-    return {
-        "query_name": stats.query_name,
-        "started_at": stats.started_at,
-        "finished_at": stats.finished_at,
-        "pipelines": [
-            {
-                "pipeline_id": p.pipeline_id,
-                "description": p.description,
-                "started_at": p.started_at,
-                "finished_at": p.finished_at,
-                "rows_processed": p.rows_processed,
-                "morsels_processed": p.morsels_processed,
-                "global_state_bytes": p.global_state_bytes,
-                "operators": [
-                    {
-                        "label": op.label,
-                        "kind": op.kind,
-                        "rows": op.rows,
-                        "bytes": op.bytes,
-                        "seconds": op.seconds,
-                    }
-                    for op in p.operators
-                ],
-            }
-            for p in stats.pipelines
-        ],
-    }
-
 
 def _stats_from_json(payload: dict) -> QueryStats:
-    stats = QueryStats(
-        query_name=payload["query_name"],
-        started_at=float(payload["started_at"]),
-        finished_at=float(payload["finished_at"]),
-    )
-    for entry in payload["pipelines"]:
-        stats.record_pipeline(
-            PipelineStats(
-                pipeline_id=int(entry["pipeline_id"]),
-                description=entry["description"],
-                started_at=float(entry["started_at"]),
-                finished_at=float(entry["finished_at"]),
-                rows_processed=int(entry["rows_processed"]),
-                morsels_processed=int(entry["morsels_processed"]),
-                global_state_bytes=int(entry["global_state_bytes"]),
-                operators=[
-                    OperatorStats(
-                        label=op["label"],
-                        kind=op["kind"],
-                        rows=int(op["rows"]),
-                        bytes=int(op["bytes"]),
-                        seconds=float(op["seconds"]),
-                    )
-                    for op in entry.get("operators", [])
-                ],
-            )
+    """Inverse of ``dataclasses.asdict`` on a :class:`QueryStats`."""
+    pipelines = [
+        PipelineStats(
+            **{
+                **entry,
+                "operators": [OperatorStats(**op) for op in entry.get("operators", [])],
+            }
         )
-    return stats
+        for entry in payload["pipelines"]
+    ]
+    return QueryStats(**{**payload, "pipelines": pipelines})
+
+
+def write_container(
+    path: str | os.PathLike,
+    kind: str,
+    header: dict,
+    state_blobs: dict[int, bytes],
+    local_blobs: list[bytes],
+) -> None:
+    """Write one snapshot file of any *kind*.
+
+    *header* must list the ids of *state_blobs* and the number of
+    *local_blobs* (see :class:`SnapshotFile`).  A delta's header is mostly
+    hex hashes and a copy of the full header; compressed, it stops
+    dominating small all-refs deltas.
+    """
+    write_header = (
+        serialize.write_compressed_json if kind == "delta" else serialize.write_json
+    )
+    with open(path, "wb") as stream:
+        stream.write(_MAGIC[kind])
+        write_header(stream, header)
+        for blob in [state_blobs[pid] for pid in sorted(state_blobs)] + local_blobs:
+            serialize.write_json(stream, len(blob))
+            stream.write(blob)
+
+
+class SnapshotFile:
+    """An open snapshot file of any kind, read front to back at most once.
+
+    Opening parses the magic and the header, so ``kind`` (``"pipeline"``,
+    ``"process"`` or ``"delta"``) and ``header`` are available before any
+    blob is touched; :meth:`read_blobs` then walks the blob sections once.
+    For deltas ``header`` is the wrapper (``kind`` / ``header`` /
+    ``inline_ids`` / ``refs`` / ``num_locals``) and only the inline states
+    are stored; references are resolved by the store.
+
+    Every read is exact: a truncated or torn file raises
+    :class:`SnapshotError` naming the file and the section.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
+        self._stream = open(self.path, "rb")
+        try:
+            self._size = os.fstat(self._stream.fileno()).st_size
+            magic = self._stream.read(_MAGIC_LEN)
+            if magic not in _KIND_OF_MAGIC:
+                raise SnapshotError(
+                    f"{self.path.name}: unrecognized snapshot magic {magic!r}"
+                )
+            self.kind = _KIND_OF_MAGIC[magic]
+            self.header = self._read_json(
+                "header",
+                serialize.read_compressed_json
+                if self.kind == "delta"
+                else serialize.read_json,
+            )
+        except BaseException:
+            self._stream.close()
+            raise
+
+    def __enter__(self) -> "SnapshotFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stream.close()
+
+    def _read_json(self, section: str, reader=serialize.read_json):
+        try:
+            return reader(self._stream)
+        except (ValueError, zlib.error) as exc:
+            raise SnapshotError(
+                f"{self.path.name}: unreadable {section}: {exc}"
+            ) from exc
+
+    def _read_blob(self, section: str, wanted: bool) -> bytes | None:
+        size = int(self._read_json(f"{section} length"))
+        remaining = self._size - self._stream.tell()
+        if not 0 <= size <= remaining:
+            raise SnapshotError(
+                f"{self.path.name}: truncated in {section}: wanted {size} bytes, "
+                f"{remaining} left"
+            )
+        if wanted:
+            return self._stream.read(size)
+        self._stream.seek(size, os.SEEK_CUR)
+        return None
+
+    def read_blobs(
+        self, want=None, local_blobs: bool = True
+    ) -> tuple[dict[int, bytes], list[bytes]]:
+        """One pass over the blob sections: ``(state blobs, local blobs)``.
+
+        *want* restricts the state blobs loaded to those ids (``None`` =
+        every stored state); the others are seeked past.  With
+        ``local_blobs=False`` the pass stops after the last wanted state.
+        Raises :class:`SnapshotError` when a wanted id is not stored inline.
+        """
+        ids_key = "inline_ids" if self.kind == "delta" else "state_ids"
+        stored = [int(pid) for pid in self.header[ids_key]]
+        wanted = set(stored) if want is None else {int(pid) for pid in want}
+        if not wanted <= set(stored):
+            raise SnapshotError(
+                f"state {min(wanted - set(stored))} not stored inline in {self.path.name}"
+            )
+        states: dict[int, bytes] = {}
+        for pid in stored:
+            if not local_blobs and len(states) == len(wanted):
+                break
+            blob = self._read_blob(f"state {pid}", pid in wanted)
+            if blob is not None:
+                states[pid] = blob
+        num_locals = int(self.header.get("num_locals", 0)) if local_blobs else 0
+        return states, [
+            self._read_blob(f"local state {index}", True) for index in range(num_locals)
+        ]
+
+
+def write_delta_snapshot(
+    path: str | os.PathLike,
+    kind: str,
+    header: dict,
+    inline_blobs: dict[int, bytes],
+    refs: dict[str, dict],
+    local_blobs: list[bytes],
+) -> None:
+    """Persist an incremental snapshot.
+
+    A delta stands in for the full snapshot of flavour *kind* whose header
+    JSON is *header*: changed states are stored inline, the rest are
+    *refs* into the files that hold them (``{"hash", "source"}`` per state
+    id, keyed like ``hashes``), so materializing it only requires resolving
+    those blobs.
+    Worker-local states change every suspension and are always inline.
+    """
+    wrapper = {
+        "kind": kind,
+        "header": header,
+        "inline_ids": sorted(inline_blobs),
+        "refs": refs,
+        "num_locals": len(local_blobs),
+    }
+    write_container(path, "delta", wrapper, inline_blobs, local_blobs)
 
 
 @dataclass
-class PipelineSnapshot:
-    """Serialized pipeline-level suspension state."""
+class Snapshot:
+    """Serialized suspension state of either persisting strategy."""
 
+    kind: str
     meta: SnapshotMeta
+    #: Every pipeline the query has finished, in any suspension generation.
     completed_pipelines: list[int]
     state_blobs: dict[int, bytes]
     stats: QueryStats
     codec: str = "raw"
     state_hashes: dict[int, str] = field(default_factory=dict)
+    #: Pre-codec size: of the state blobs (pipeline), or of the modelled
+    #: process image — allocated memory plus context (process).
     raw_bytes: int = 0
+    #: Modelled post-codec image size; process kind only (a pipeline
+    #: snapshot's encoded size is the size of its blobs).
+    encoded_bytes: int = 0
     codec_stats: dict | None = None
+    # In-flight pipeline, process kind only.
+    current_pipeline: int | None = None
+    next_morsel: int = 0
+    rows_in_pipeline: int = 0
+    local_state_blobs: list[bytes] = field(default_factory=list)
 
     @property
     def intermediate_bytes(self) -> int:
-        """Size of the persisted intermediate data (encoded bytes on disk)."""
-        return sum(len(blob) for blob in self.state_blobs.values())
+        """Size of the persisted intermediate data (what hits the disk)."""
+        if self.kind == "pipeline":
+            return sum(len(blob) for blob in self.state_blobs.values())
+        if self.codec != "raw" and self.encoded_bytes:
+            return self.encoded_bytes
+        return self.raw_bytes
 
     @property
     def raw_state_bytes(self) -> int:
-        """Pre-codec size of the same states (equals encoded size for raw)."""
-        return self.raw_bytes if self.raw_bytes else self.intermediate_bytes
+        """Pre-codec size of the same data (equals encoded size for raw)."""
+        return self.raw_bytes or self.intermediate_bytes
 
     @classmethod
     def from_capture(
-        cls, capture: ExecutionCapture, codec_name: str = "raw"
-    ) -> "PipelineSnapshot":
-        if capture.kind != "pipeline":
-            raise SnapshotError(f"expected a pipeline capture, got {capture.kind!r}")
-        meta = SnapshotMeta(
-            strategy="pipeline",
-            query_name=capture.query_name,
-            plan_fingerprint=capture.plan_fingerprint,
-            clock_time=capture.clock_time,
-            num_threads=capture.num_threads,
-            morsel_size=capture.morsel_size,
-            memory_bytes=capture.memory_bytes,
-        )
+        cls,
+        capture: ExecutionCapture,
+        codec_name: str = "raw",
+        process_context_bytes: int = 0,
+    ) -> "Snapshot":
+        """Serialize *capture*; its ``kind`` becomes the snapshot's."""
+        process = capture.kind == "process"
         stats = codec_mod.CodecStats()
-        blobs: dict[int, bytes] = {}
-        for pid, state in capture.live_states().items():
+
+        def encode(state) -> bytes:
             with codec_mod.encoding(codec_name, stats):
-                blobs[pid] = state.serialize()
-        encoded = sum(len(blob) for blob in blobs.values())
-        # What the same blobs would weigh uncompressed: the encoded stream
-        # plus the payload bytes the codec saved.
-        raw_bytes = encoded + stats.saved_bytes
+                return state.serialize()
+
+        states = capture.completed_states if process else capture.live_states()
+        blobs = {pid: encode(state) for pid, state in states.items()}
+        locals_blobs = [encode(state) for state in capture.local_states or []]
+        if process:
+            # The process image is memory-accounting based, not a byte
+            # stream we compress directly; model the encoded size by
+            # applying the measured payload compression ratio to the memory
+            # portion.  Process context (page tables, file descriptors, ...)
+            # does not compress.
+            raw_bytes = capture.memory_bytes + process_context_bytes
+            encoded_bytes = process_context_bytes + int(
+                capture.memory_bytes * stats.ratio
+            )
+        else:
+            # What the same blobs would weigh uncompressed: the encoded
+            # stream plus the payload bytes the codec saved.
+            raw_bytes = sum(len(blob) for blob in blobs.values()) + stats.saved_bytes
+            encoded_bytes = 0
         return cls(
-            meta=meta,
+            kind=capture.kind,
+            meta=SnapshotMeta(
+                strategy=capture.kind,
+                query_name=capture.query_name,
+                plan_fingerprint=capture.plan_fingerprint,
+                clock_time=capture.clock_time,
+                num_threads=capture.num_threads,
+                morsel_size=capture.morsel_size,
+                memory_bytes=capture.memory_bytes,
+            ),
             # Union with the resume-skipped set: after a chained suspend
-            # the in-memory completed states only cover the *live* ones
-            # restored by the last resume — the earlier generations'
-            # pipelines are finished too, and forgetting them here would
-            # make the next resume re-run work the query already did.
+            # the in-memory completed states only cover the ones restored
+            # by the last resume — the earlier generations' pipelines are
+            # finished too, and forgetting them here would make the next
+            # resume re-run work the query already did.
             completed_pipelines=sorted(
                 set(capture.completed_states) | capture.skipped_pipelines
             ),
@@ -223,325 +336,107 @@ class PipelineSnapshot:
             codec=codec_name,
             state_hashes={pid: hash_blob(blob) for pid, blob in blobs.items()},
             raw_bytes=raw_bytes,
+            encoded_bytes=encoded_bytes,
             codec_stats=stats.to_json(),
+            current_pipeline=capture.current_pipeline,
+            next_morsel=capture.next_morsel,
+            rows_in_pipeline=capture.rows_in_pipeline,
+            local_state_blobs=locals_blobs,
         )
 
     def header_json(self) -> dict:
-        return {
-            "meta": self.meta.to_json(),
+        """The file header.  Key order is part of the on-disk format."""
+        process = self.kind == "process"
+        header = {
+            "meta": asdict(self.meta),
             "completed": self.completed_pipelines,
-            "stats": _stats_to_json(self.stats),
+            "stats": asdict(self.stats),
             "state_ids": sorted(self.state_blobs),
-            "codec": self.codec,
-            "hashes": {str(pid): h for pid, h in self.state_hashes.items()},
-            "raw_bytes": self.raw_bytes,
-            "codec_stats": self.codec_stats,
         }
+        if process:
+            header.update(
+                memory_charges={},  # reserved; always empty
+                image_bytes=self.raw_bytes,
+                current_pipeline=self.current_pipeline,
+                next_morsel=self.next_morsel,
+                rows_in_pipeline=self.rows_in_pipeline,
+                num_locals=len(self.local_state_blobs),
+            )
+        header["codec"] = self.codec
+        header["hashes"] = {str(pid): h for pid, h in self.state_hashes.items()}
+        if process:
+            header["encoded_bytes"] = self.encoded_bytes
+        else:
+            header["raw_bytes"] = self.raw_bytes
+        header["codec_stats"] = self.codec_stats
+        return header
 
-    def write(self, path: str | os.PathLike) -> int:
-        """Persist to *path*; returns bytes written."""
-        with open(path, "wb") as stream:
-            stream.write(_MAGIC_PIPELINE)
-            serialize.write_json(stream, self.header_json())
-            for pid in sorted(self.state_blobs):
-                blob = self.state_blobs[pid]
-                serialize.write_json(stream, len(blob))
-                stream.write(blob)
-        return Path(path).stat().st_size
+    def write(self, path: str | os.PathLike) -> None:
+        """Persist to *path*."""
+        write_container(
+            path, self.kind, self.header_json(), self.state_blobs, self.local_state_blobs
+        )
 
     @classmethod
-    def from_parts(cls, header: dict, blobs: dict[int, bytes]) -> "PipelineSnapshot":
-        """Rebuild from a parsed header and resolved state blobs."""
+    def read(cls, path: str | os.PathLike, kind: str) -> "Snapshot":
+        """Load the full snapshot of flavour *kind* at *path*."""
+        with SnapshotFile(path) as source:
+            if source.kind != kind:
+                raise SnapshotError(
+                    f"not a {kind} snapshot: bad magic {_MAGIC[source.kind]!r}"
+                )
+            header = source.header
+            blobs, locals_blobs = source.read_blobs()
+        current = header.get("current_pipeline")
         return cls(
-            meta=SnapshotMeta.from_json(header["meta"]),
+            kind=kind,
+            meta=SnapshotMeta(**header["meta"]),
             completed_pipelines=[int(p) for p in header["completed"]],
             state_blobs=blobs,
             stats=_stats_from_json(header["stats"]),
             codec=header.get("codec", "raw"),
             state_hashes={int(p): h for p, h in header.get("hashes", {}).items()},
-            raw_bytes=int(header.get("raw_bytes", 0)),
-            codec_stats=header.get("codec_stats"),
-        )
-
-    @classmethod
-    def read(cls, path: str | os.PathLike) -> "PipelineSnapshot":
-        with open(path, "rb") as stream:
-            magic = stream.read(len(_MAGIC_PIPELINE))
-            if magic != _MAGIC_PIPELINE:
-                raise SnapshotError(f"not a pipeline snapshot: bad magic {magic!r}")
-            header = serialize.read_json(stream)
-            blobs: dict[int, bytes] = {}
-            for pid in header["state_ids"]:
-                size = int(serialize.read_json(stream))
-                blobs[int(pid)] = stream.read(size)
-        return cls.from_parts(header, blobs)
-
-
-@dataclass
-class ProcessImage:
-    """Serialized process-level image (simulated CRIU dump)."""
-
-    meta: SnapshotMeta
-    state_blobs: dict[int, bytes]
-    memory_charges: dict[str, int]
-    stats: QueryStats
-    image_bytes: int = 0
-    current_pipeline: int | None = None
-    next_morsel: int = 0
-    rows_in_pipeline: int = 0
-    local_state_blobs: list[bytes] = field(default_factory=list)
-    codec: str = "raw"
-    state_hashes: dict[int, str] = field(default_factory=dict)
-    encoded_bytes: int = 0
-    codec_stats: dict | None = None
-
-    @property
-    def intermediate_bytes(self) -> int:
-        """Modelled image size: encoded when a codec shrank the payload."""
-        if self.codec != "raw" and self.encoded_bytes:
-            return self.encoded_bytes
-        return self.image_bytes
-
-    @property
-    def raw_state_bytes(self) -> int:
-        """Pre-codec modelled image size (allocated memory + context)."""
-        return self.image_bytes
-
-    @classmethod
-    def from_capture(
-        cls,
-        capture: ExecutionCapture,
-        process_context_bytes: int,
-        codec_name: str = "raw",
-    ) -> "ProcessImage":
-        if capture.kind != "process":
-            raise SnapshotError(f"expected a process capture, got {capture.kind!r}")
-        meta = SnapshotMeta(
-            strategy="process",
-            query_name=capture.query_name,
-            plan_fingerprint=capture.plan_fingerprint,
-            clock_time=capture.clock_time,
-            num_threads=capture.num_threads,
-            morsel_size=capture.morsel_size,
-            memory_bytes=capture.memory_bytes,
-        )
-        stats = codec_mod.CodecStats()
-        blobs: dict[int, bytes] = {}
-        for pid, state in capture.completed_states.items():
-            with codec_mod.encoding(codec_name, stats):
-                blobs[pid] = state.serialize()
-        locals_blobs: list[bytes] = []
-        if capture.local_states is not None:
-            for state in capture.local_states:
-                with codec_mod.encoding(codec_name, stats):
-                    locals_blobs.append(state.serialize())
-        image_bytes = capture.memory_bytes + process_context_bytes
-        # The process image is memory-accounting based, not a byte stream we
-        # compress directly; model the encoded size by applying the measured
-        # payload compression ratio to the memory portion.  Process context
-        # (page tables, file descriptors, ...) does not compress.
-        ratio = stats.ratio
-        encoded_bytes = process_context_bytes + int(capture.memory_bytes * ratio)
-        return cls(
-            meta=meta,
-            state_blobs=blobs,
-            memory_charges={},
-            stats=capture.stats,
-            image_bytes=image_bytes,
-            current_pipeline=capture.current_pipeline,
-            next_morsel=capture.next_morsel,
-            rows_in_pipeline=capture.rows_in_pipeline,
-            local_state_blobs=locals_blobs,
-            codec=codec_name,
-            state_hashes={pid: hash_blob(blob) for pid, blob in blobs.items()},
-            encoded_bytes=encoded_bytes,
-            codec_stats=stats.to_json(),
-        )
-
-    def header_json(self) -> dict:
-        return {
-            "meta": self.meta.to_json(),
-            "stats": _stats_to_json(self.stats),
-            "state_ids": sorted(self.state_blobs),
-            "memory_charges": self.memory_charges,
-            "image_bytes": self.image_bytes,
-            "current_pipeline": self.current_pipeline,
-            "next_morsel": self.next_morsel,
-            "rows_in_pipeline": self.rows_in_pipeline,
-            "num_locals": len(self.local_state_blobs),
-            "codec": self.codec,
-            "hashes": {str(pid): h for pid, h in self.state_hashes.items()},
-            "encoded_bytes": self.encoded_bytes,
-            "codec_stats": self.codec_stats,
-        }
-
-    def write(self, path: str | os.PathLike) -> int:
-        """Persist to *path*; returns bytes written."""
-        with open(path, "wb") as stream:
-            stream.write(_MAGIC_PROCESS)
-            serialize.write_json(stream, self.header_json())
-            for pid in sorted(self.state_blobs):
-                blob = self.state_blobs[pid]
-                serialize.write_json(stream, len(blob))
-                stream.write(blob)
-            for blob in self.local_state_blobs:
-                serialize.write_json(stream, len(blob))
-                stream.write(blob)
-        return Path(path).stat().st_size
-
-    @classmethod
-    def from_parts(
-        cls, header: dict, blobs: dict[int, bytes], locals_blobs: list[bytes]
-    ) -> "ProcessImage":
-        """Rebuild from a parsed header and resolved state blobs."""
-        current = header["current_pipeline"]
-        return cls(
-            meta=SnapshotMeta.from_json(header["meta"]),
-            state_blobs=blobs,
-            memory_charges={k: int(v) for k, v in header["memory_charges"].items()},
-            stats=_stats_from_json(header["stats"]),
-            image_bytes=int(header["image_bytes"]),
-            current_pipeline=None if current is None else int(current),
-            next_morsel=int(header["next_morsel"]),
-            rows_in_pipeline=int(header.get("rows_in_pipeline", 0)),
-            local_state_blobs=locals_blobs,
-            codec=header.get("codec", "raw"),
-            state_hashes={int(p): h for p, h in header.get("hashes", {}).items()},
+            raw_bytes=int(
+                header.get("image_bytes" if kind == "process" else "raw_bytes", 0)
+            ),
             encoded_bytes=int(header.get("encoded_bytes", 0)),
             codec_stats=header.get("codec_stats"),
+            current_pipeline=None if current is None else int(current),
+            next_morsel=int(header.get("next_morsel", 0)),
+            rows_in_pipeline=int(header.get("rows_in_pipeline", 0)),
+            local_state_blobs=locals_blobs,
         )
 
-    @classmethod
-    def read(cls, path: str | os.PathLike) -> "ProcessImage":
-        with open(path, "rb") as stream:
-            magic = stream.read(len(_MAGIC_PROCESS))
-            if magic != _MAGIC_PROCESS:
-                raise SnapshotError(f"not a process image: bad magic {magic!r}")
-            header = serialize.read_json(stream)
-            blobs: dict[int, bytes] = {}
-            for pid in header["state_ids"]:
-                size = int(serialize.read_json(stream))
-                blobs[int(pid)] = stream.read(size)
-            locals_blobs = []
-            for _ in range(int(header["num_locals"])):
-                size = int(serialize.read_json(stream))
-                locals_blobs.append(stream.read(size))
-        return cls.from_parts(header, blobs, locals_blobs)
-
-
-@dataclass
-class DeltaSnapshot:
-    """An incremental snapshot: inline changed states + refs into a base.
-
-    ``kind`` records the flavour of the full snapshot it stands in for
-    (``"pipeline"`` or ``"process"``); ``header`` is that snapshot's full
-    header JSON, so materializing a delta only requires resolving the
-    referenced state blobs.
-    """
-
-    kind: str
-    header: dict
-    inline_blobs: dict[int, bytes]
-    refs: dict[int, dict]
-    local_blobs: list[bytes] = field(default_factory=list)
-
-    @property
-    def inline_bytes(self) -> int:
-        changed = sum(len(blob) for blob in self.inline_blobs.values())
-        return changed + sum(len(blob) for blob in self.local_blobs)
-
-
-def write_delta_snapshot(path: str | os.PathLike, delta: DeltaSnapshot) -> int:
-    """Persist a delta snapshot; returns bytes written."""
-    if delta.kind not in ("pipeline", "process"):
-        raise SnapshotError(f"unknown delta kind {delta.kind!r}")
-    with open(path, "wb") as stream:
-        stream.write(_MAGIC_DELTA)
-        # The wrapper is mostly hex hashes and a copy of the full header;
-        # compressed, it stops dominating small all-refs deltas.
-        serialize.write_compressed_json(
-            stream,
-            {
-                "kind": delta.kind,
-                "header": delta.header,
-                "inline_ids": sorted(delta.inline_blobs),
-                "refs": {str(pid): ref for pid, ref in delta.refs.items()},
-                "num_locals": len(delta.local_blobs),
-            },
+    def resume_state(
+        self, pipelines: list[Pipeline], plan_fingerprint: str
+    ) -> ResumeState:
+        """Deserialize the states through *pipelines*' sinks."""
+        if self.meta.plan_fingerprint != plan_fingerprint:
+            raise SnapshotError(
+                f"{self.kind} snapshot was taken from a different query plan"
+            )
+        by_id = {p.pipeline_id: p for p in pipelines}
+        completed = {}
+        for pid, blob in self.state_blobs.items():
+            if pid not in by_id:
+                raise SnapshotError(f"snapshot references unknown pipeline {pid}")
+            completed[pid] = by_id[pid].sink.deserialize_global_state(blob)
+        local_states = None
+        if self.current_pipeline is not None:
+            sink = by_id[self.current_pipeline].sink
+            local_states = [
+                sink.deserialize_local_state(blob) for blob in self.local_state_blobs
+            ]
+        return ResumeState(
+            completed_states=completed,
+            stats=self.stats,
+            clock_time=0.0,
+            skipped_pipelines=set(self.completed_pipelines),
+            current_pipeline=self.current_pipeline,
+            next_morsel=self.next_morsel,
+            rows_in_pipeline=self.rows_in_pipeline,
+            local_states=local_states,
+            # The morsel cursor counts morsels, so a mid-pipeline restore
+            # also pins the morsel size (enforced by the executor).
+            morsel_size=self.meta.morsel_size,
         )
-        for pid in sorted(delta.inline_blobs):
-            blob = delta.inline_blobs[pid]
-            serialize.write_json(stream, len(blob))
-            stream.write(blob)
-        for blob in delta.local_blobs:
-            serialize.write_json(stream, len(blob))
-            stream.write(blob)
-    return Path(path).stat().st_size
-
-
-def read_delta_snapshot(path: str | os.PathLike) -> DeltaSnapshot:
-    """Inverse of :func:`write_delta_snapshot`."""
-    with open(path, "rb") as stream:
-        magic = stream.read(_MAGIC_LEN)
-        if magic != _MAGIC_DELTA:
-            raise SnapshotError(f"not a delta snapshot: bad magic {magic!r}")
-        wrapper = serialize.read_compressed_json(stream)
-        inline: dict[int, bytes] = {}
-        for pid in wrapper["inline_ids"]:
-            size = int(serialize.read_json(stream))
-            inline[int(pid)] = stream.read(size)
-        locals_blobs = []
-        for _ in range(int(wrapper["num_locals"])):
-            size = int(serialize.read_json(stream))
-            locals_blobs.append(stream.read(size))
-    return DeltaSnapshot(
-        kind=wrapper["kind"],
-        header=wrapper["header"],
-        inline_blobs=inline,
-        refs={int(pid): ref for pid, ref in wrapper["refs"].items()},
-        local_blobs=locals_blobs,
-    )
-
-
-def read_snapshot_header(path: str | os.PathLike) -> tuple[str, dict]:
-    """Read only the magic + header of any snapshot file.
-
-    Returns ``(kind, header)`` where kind is ``"pipeline"``, ``"process"``
-    or ``"delta"``.  For deltas the returned header is the *wrapper* JSON
-    (with ``kind``/``header``/``refs`` keys).
-    """
-    with open(path, "rb") as stream:
-        magic = stream.read(_MAGIC_LEN)
-        if magic == _MAGIC_DELTA:
-            return "delta", serialize.read_compressed_json(stream)
-        header = serialize.read_json(stream)
-    if magic == _MAGIC_PIPELINE:
-        return "pipeline", header
-    if magic == _MAGIC_PROCESS:
-        return "process", header
-    raise SnapshotError(f"unrecognized snapshot magic {magic!r}")
-
-
-def extract_state_blob(path: str | os.PathLike, pid: int) -> bytes:
-    """Pull one per-pipeline state blob out of any snapshot file.
-
-    For full snapshots this walks the length-prefixed blob section; for
-    deltas only inline blobs are reachable (references must be resolved by
-    the store, which knows where the base segments live).
-    """
-    with open(path, "rb") as stream:
-        magic = stream.read(_MAGIC_LEN)
-        if magic in (_MAGIC_PIPELINE, _MAGIC_PROCESS):
-            header = serialize.read_json(stream)
-            state_ids = [int(p) for p in header["state_ids"]]
-        elif magic == _MAGIC_DELTA:
-            header = serialize.read_compressed_json(stream)
-            state_ids = [int(p) for p in header["inline_ids"]]
-        else:
-            raise SnapshotError(f"unrecognized snapshot magic {magic!r}")
-        for current in state_ids:
-            size = int(serialize.read_json(stream))
-            if current == pid:
-                return stream.read(size)
-            stream.seek(size, os.SEEK_CUR)
-    raise SnapshotError(f"state {pid} not stored inline in {Path(path).name}")

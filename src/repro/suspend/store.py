@@ -31,12 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.suspend.snapshot import (
-    DeltaSnapshot,
     SnapshotError,
-    extract_state_blob,
+    SnapshotFile,
     hash_blob,
-    read_delta_snapshot,
-    read_snapshot_header,
+    write_container,
     write_delta_snapshot,
 )
 from repro.suspend.strategy import SuspendOutcome
@@ -142,14 +140,8 @@ class SnapshotStore:
         file_name = f"{query_name}.{outcome.strategy}.{sequence:06d}.snapshot"
         target = self.directory / file_name
 
-        delta_of: int | None = None
-        segments: dict = {}
-        if self.incremental:
-            plan = self._plan_delta(source, query_name, outcome.strategy, file_name)
-            if plan is not None:
-                delta_of, segments = self._write_delta(source, target, plan)
+        delta_of, segments = self._stage(source, target, query_name, outcome.strategy)
         if delta_of is None:
-            segments = self._full_segments(source, file_name)
             source.replace(target)
         else:
             source.unlink()
@@ -168,84 +160,56 @@ class SnapshotStore:
             segments=segments,
         )
         self._records.append(record)
-        self._prune(query_name)
+        self._drop(query_name, self.keep_per_query)
         self._save()
         return record
 
-    def _full_segments(self, source: Path, file_name: str) -> dict:
-        """Segment map for a full snapshot: every state lives in this file."""
-        try:
-            kind, header = read_snapshot_header(source)
-        except (SnapshotError, KeyError, ValueError):
-            return {}
-        if kind == "delta":
-            return {}
-        hashes = header.get("hashes") or {}
-        return {pid: {"hash": h, "source": file_name} for pid, h in hashes.items()}
+    def _stage(
+        self, source: Path, target: Path, query_name: str, strategy: str
+    ) -> tuple[int | None, dict]:
+        """Read the staged snapshot once; returns ``(delta_of, segments)``.
 
-    def _plan_delta(
-        self, source: Path, query_name: str, strategy: str, file_name: str
-    ):
-        """Decide whether the snapshot at *source* can become a delta.
-
-        Returns ``(base_record, kind, header, changed_ids, segments)`` or
-        ``None`` when no base exists or nothing would be reused.
+        The segment map says, per state id, which file holds the blob
+        inline.  In incremental mode, states whose hash matches the newest
+        snapshot of the same query/strategy point at that base's segment
+        files, and — when at least one does — the staged file is rewritten
+        at *target* as a delta holding only the changed states.
         """
         try:
-            kind, header = read_snapshot_header(source)
-        except (SnapshotError, KeyError, ValueError):
-            return None
-        if kind == "delta":
-            return None
-        hashes = header.get("hashes") or {}
-        if not hashes:
-            return None
-        base = None
-        for record in self.records(query_name):
-            if record.strategy == strategy and record.segments:
-                base = record
-                break
-        if base is None:
-            return None
-        changed: list[int] = []
-        segments: dict = {}
-        reused = 0
-        for pid, digest in hashes.items():
-            base_segment = base.segments.get(pid)
-            if base_segment is not None and base_segment["hash"] == digest:
-                # Point straight at the file that stores the blob inline
-                # (never another reference), so chains stay one hop deep.
-                segments[pid] = {"hash": digest, "source": base_segment["source"]}
-                reused += 1
-            else:
-                changed.append(int(pid))
-                segments[pid] = {"hash": digest, "source": file_name}
-        if reused == 0:
-            return None
-        return base, kind, header, changed, segments
-
-    def _write_delta(self, source: Path, target: Path, plan) -> tuple[int, dict]:
-        """Rewrite the full snapshot at *source* as a delta at *target*."""
-        base, kind, header, changed, segments = plan
-        inline = {pid: extract_state_blob(source, pid) for pid in changed}
-        refs = {
-            int(pid): dict(segment)
-            for pid, segment in segments.items()
-            if segment["source"] != target.name
-        }
-        local_blobs: list[bytes] = []
-        if kind == "process" and int(header.get("num_locals", 0)):
-            # Worker-local states change every suspension; always inline.
-            local_blobs = _read_local_blobs(source, header)
-        delta = DeltaSnapshot(
-            kind=kind,
-            header=header,
-            inline_blobs=inline,
-            refs=refs,
-            local_blobs=local_blobs,
-        )
-        write_delta_snapshot(target, delta)
-        return base.sequence, segments
+            staged = SnapshotFile(source)
+        except SnapshotError:
+            return None, {}
+        with staged:
+            if staged.kind == "delta":
+                return None, {}
+            hashes = staged.header.get("hashes") or {}
+            # Newest first: the base is the latest snapshot with segments.
+            candidates = self.records(query_name) if self.incremental else []
+            bases = [r for r in candidates if r.strategy == strategy and r.segments]
+            held_by_base = bases[0].segments if bases else {}
+            changed: list[int] = []
+            segments: dict = {}
+            for pid, digest in hashes.items():
+                held = held_by_base.get(pid)
+                if held is not None and held["hash"] == digest:
+                    # Point straight at the file that stores the blob inline
+                    # (never another reference), so chains stay one hop deep.
+                    segments[pid] = {"hash": digest, "source": held["source"]}
+                else:
+                    changed.append(int(pid))
+                    segments[pid] = {"hash": digest, "source": target.name}
+            if len(changed) == len(hashes):
+                return None, segments
+            inline, local_blobs = staged.read_blobs(changed)
+            refs = {
+                pid: dict(segment)
+                for pid, segment in segments.items()
+                if segment["source"] != target.name
+            }
+            write_delta_snapshot(
+                target, staged.kind, staged.header, inline, refs, local_blobs
+            )
+        return bases[0].sequence, segments
 
     # -- queries -----------------------------------------------------------------
     def records(self, query_name: str | None = None) -> list[SnapshotRecord]:
@@ -281,33 +245,33 @@ class SnapshotStore:
         path = self.path_of(record)
         if not record.is_delta:
             return path
-        from repro.suspend.snapshot import PipelineSnapshot, ProcessImage
-
-        materialized = path.with_name(path.name + ".full")
-        delta = read_delta_snapshot(path)
-        header = delta.header
-        blobs: dict[int, bytes] = {}
-        for pid_str, segment in record.segments.items():
-            pid = int(pid_str)
-            if pid in delta.inline_blobs:
-                blob = delta.inline_blobs[pid]
-            else:
-                source = Path(self.directory) / segment["source"]
-                if not source.exists():
-                    raise SnapshotError(
-                        f"delta {record.file_name} references missing base "
-                        f"segment file {segment['source']}"
-                    )
-                blob = extract_state_blob(source, pid)
-            if hash_blob(blob) != segment["hash"]:
+        with SnapshotFile(path) as delta:
+            if delta.kind != "delta":
+                raise SnapshotError(f"not a delta snapshot: {record.file_name}")
+            wrapper = delta.header
+            blobs, local_blobs = delta.read_blobs()
+        referenced: dict[str, list[int]] = {}
+        for pid, segment in record.segments.items():
+            if int(pid) not in blobs:
+                referenced.setdefault(segment["source"], []).append(int(pid))
+        for source_name, pids in referenced.items():
+            source = Path(self.directory) / source_name
+            if not source.exists():
+                raise SnapshotError(
+                    f"delta {record.file_name} references missing base "
+                    f"segment file {source_name}"
+                )
+            with SnapshotFile(source) as base:
+                blobs.update(base.read_blobs(pids, local_blobs=False)[0])
+        for pid, segment in record.segments.items():
+            if hash_blob(blobs[int(pid)]) != segment["hash"]:
                 raise SnapshotError(
                     f"segment {pid} of {record.file_name} failed hash verification"
                 )
-            blobs[pid] = blob
-        if delta.kind == "pipeline":
-            PipelineSnapshot.from_parts(header, blobs).write(materialized)
-        else:
-            ProcessImage.from_parts(header, blobs, delta.local_blobs).write(materialized)
+        materialized = path.with_name(path.name + ".full")
+        write_container(
+            materialized, wrapper["kind"], wrapper["header"], blobs, local_blobs
+        )
         return materialized
 
     # -- decision journals -------------------------------------------------------
@@ -359,6 +323,12 @@ class SnapshotStore:
         on disk while any surviving delta still references it (it moves to
         the manifest's ``retained`` list, and is swept once unreferenced).
         """
+        removed = self._drop(query_name, keep)
+        self._save()
+        return removed
+
+    def _drop(self, query_name: str, keep: int) -> int:
+        """:meth:`prune_query` without the manifest save."""
         removed = 0
         keepers = self.records(query_name)[:keep]
         keep_names = {r.file_name for r in keepers}
@@ -383,7 +353,6 @@ class SnapshotStore:
             self._records.remove(record)
             removed += 1
         self._sweep_retained()
-        self._save()
         return removed
 
     def _sweep_retained(self) -> None:
@@ -396,12 +365,12 @@ class SnapshotStore:
                 (Path(self.directory) / file_name).unlink(missing_ok=True)
         self._retained = still_retained
 
-    def _prune(self, query_name: str) -> None:
-        self.prune_query(query_name, keep=self.keep_per_query)
-
     def _save(self) -> None:
+        """Publish the manifest by rename, so a failed write leaves the
+        previous one in place."""
         manifest = Path(self.directory) / _MANIFEST
-        manifest.write_text(
+        staging = manifest.with_name(_MANIFEST + ".tmp")
+        staging.write_text(
             json.dumps(
                 {
                     "next_sequence": self._next_sequence,
@@ -412,20 +381,4 @@ class SnapshotStore:
                 indent=2,
             )
         )
-
-
-def _read_local_blobs(path: Path, header: dict) -> list[bytes]:
-    """Read the worker-local state blobs out of a full process image."""
-    from repro.storage import serialize
-
-    with open(path, "rb") as stream:
-        stream.read(8)  # magic
-        serialize.read_json(stream)  # header (already parsed by caller)
-        for _ in header["state_ids"]:
-            size = int(serialize.read_json(stream))
-            stream.seek(size, os.SEEK_CUR)
-        blobs = []
-        for _ in range(int(header["num_locals"])):
-            size = int(serialize.read_json(stream))
-            blobs.append(stream.read(size))
-    return blobs
+        os.replace(staging, manifest)

@@ -13,7 +13,9 @@ data-level (ext)  partition boundaries  partition results       completed partit
 ================  ====================  ======================  =====================
 
 Strategies are glue between the executor's capture mechanism and the
-snapshot formats; the environment runner drives them.
+snapshot container; the slice driver runs them.  The two persisting
+strategies share one ``persist`` / ``prepare_resume`` body here and
+override only what the paper says differs (``_dump`` / ``_load``).
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from repro.engine.pipeline import Pipeline
 from repro.engine.profile import HardwareProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.storage import codec as codec_mod
 from repro.storage.codec import CODEC_NAMES, CodecError
 from repro.suspend.controller import SuspensionRequestController
+from repro.suspend.snapshot import Snapshot, SnapshotError
 
 __all__ = ["SuspendOutcome", "ResumeOutcome", "SuspensionStrategy"]
 
@@ -67,6 +71,8 @@ class SuspensionStrategy:
     name: str = "abstract"
     #: whether suspension persists any intermediate data
     persists_data: bool = True
+    #: extension of the file ``persist`` writes
+    file_extension: str = "snapshot"
 
     def __init__(
         self,
@@ -162,11 +168,50 @@ class SuspensionStrategy:
 
         Returns ``None`` for strategies that never suspend (redo).
         """
-        raise NotImplementedError
+        return SuspensionRequestController(
+            request_time, mode=self.name, tracer=self.tracer, metrics=self.metrics
+        )
+
+    def _dump(self, capture: ExecutionCapture, path: Path) -> Snapshot:
+        """Serialize *capture* into the snapshot file at *path*."""
+        if capture.kind != self.name:
+            raise SnapshotError(f"expected a {self.name} capture, got {capture.kind!r}")
+        snapshot = Snapshot.from_capture(capture, codec_name=self.codec)
+        snapshot.write(path)
+        return snapshot
+
+    def _load(
+        self,
+        path: str | os.PathLike,
+        pipelines: list[Pipeline],
+        plan_fingerprint: str,
+        profile: HardwareProfile,
+    ) -> tuple[Snapshot, ResumeState]:
+        """Read the snapshot at *path* and rebuild the executor resume state."""
+        snapshot = Snapshot.read(path, self.name)
+        return snapshot, snapshot.resume_state(pipelines, plan_fingerprint)
 
     def persist(self, capture: ExecutionCapture, directory: str | os.PathLike) -> SuspendOutcome:
         """Serialize *capture* under *directory*; returns the outcome."""
-        raise NotImplementedError
+        path = Path(directory) / f"{capture.query_name}.{self.name}.{self.file_extension}"
+        snapshot = self._dump(capture, path)
+        nbytes = snapshot.intermediate_bytes
+        # Encoded bytes hit the disk; encoding CPU is charged on the same
+        # virtual timeline as the write.
+        persist_latency = self.profile.persist_latency(nbytes) + codec_mod.encode_cost_seconds(
+            snapshot.codec_stats, self.profile.io_time_scale
+        )
+        outcome = SuspendOutcome(
+            strategy=self.name,
+            snapshot_path=path,
+            intermediate_bytes=nbytes,
+            persist_latency=persist_latency,
+            suspended_at=capture.clock_time,
+            raw_bytes=snapshot.raw_state_bytes,
+            codec=self.codec,
+        )
+        self._record_persist(outcome)
+        return outcome
 
     def prepare_resume(
         self,
@@ -176,4 +221,20 @@ class SuspensionStrategy:
         profile: HardwareProfile | None = None,
     ) -> ResumeOutcome:
         """Load a snapshot and build the executor resume state."""
-        raise NotImplementedError
+        target_profile = profile or self.profile
+        snapshot, resume = self._load(
+            snapshot_path, pipelines, plan_fingerprint, target_profile
+        )
+        nbytes = snapshot.intermediate_bytes
+        reload_latency = target_profile.reload_latency(nbytes) + codec_mod.decode_cost_seconds(
+            snapshot.codec_stats, target_profile.io_time_scale
+        )
+        outcome = ResumeOutcome(
+            strategy=self.name, resume_state=resume, reload_latency=reload_latency
+        )
+        # On the busy timeline the reload begins once the persist that wrote
+        # this snapshot has finished.
+        self._record_reload(
+            outcome, snapshot.meta.clock_time + self.profile.persist_latency(nbytes), nbytes
+        )
+        return outcome

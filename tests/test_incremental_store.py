@@ -16,8 +16,8 @@ from repro.suspend import (
     PipelineLevelStrategy,
     ProcessLevelStrategy,
     SnapshotError,
+    SnapshotFile,
     SnapshotStore,
-    read_snapshot_header,
 )
 from repro.tpch import build_query
 
@@ -78,9 +78,9 @@ class TestDeltaRegistration:
         # Delta reuse: referenced states are not re-persisted, so the delta
         # file is smaller than the full snapshot it replaced.
         assert record2.file_bytes < full_bytes
-        kind, wrapper = read_snapshot_header(store.path_of(record2))
-        assert kind == "delta"
-        assert wrapper["refs"]
+        with SnapshotFile(store.path_of(record2)) as stored:
+            assert stored.kind == "delta"
+            assert stored.header["refs"]
 
         # The delta materializes into a full snapshot the strategy resumes from.
         full = store.materialize(record2)

@@ -10,9 +10,9 @@ from repro.engine.profile import HardwareProfile
 from repro.sql import execute_sql
 from repro.suspend import (
     PipelineLevelStrategy,
-    PipelineSnapshot,
     ProcessLevelStrategy,
     RedoStrategy,
+    Snapshot,
     SnapshotError,
 )
 from repro.suspend.store import SnapshotStore
@@ -194,4 +194,4 @@ class TestFailureInjection:
         strategy = ProcessLevelStrategy(HardwareProfile())
         outcome, _ = suspend_once(tpch_tiny, "Q3", strategy, tmp_path)
         with pytest.raises(SnapshotError, match="bad magic"):
-            PipelineSnapshot.read(outcome.snapshot_path)
+            Snapshot.read(outcome.snapshot_path, "pipeline")

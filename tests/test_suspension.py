@@ -17,11 +17,10 @@ from repro.suspend import (
     CompositeController,
     CriuError,
     PipelineLevelStrategy,
-    PipelineSnapshot,
-    ProcessImage,
     ProcessLevelStrategy,
     RedoStrategy,
     SimulatedCriu,
+    Snapshot,
     SnapshotError,
     SuspensionRequestController,
     TerminationController,
@@ -100,10 +99,10 @@ class TestSnapshots:
         normal = run_normal(tpch_tiny, "Q3")
         strategy = PipelineLevelStrategy(HardwareProfile())
         _, capture, _ = suspend(tpch_tiny, "Q3", strategy, 0.5, normal.stats.duration)
-        snapshot = PipelineSnapshot.from_capture(capture)
+        snapshot = Snapshot.from_capture(capture)
         path = tmp_path / "snap"
         snapshot.write(path)
-        restored = PipelineSnapshot.read(path)
+        restored = Snapshot.read(path, "pipeline")
         assert restored.meta.query_name == "Q3"
         assert restored.completed_pipelines == snapshot.completed_pipelines
         assert restored.intermediate_bytes == snapshot.intermediate_bytes
@@ -114,34 +113,42 @@ class TestSnapshots:
         _, capture, _ = suspend(tpch_tiny, "Q3", strategy, 0.9, normal.stats.duration)
         if capture is None:
             pytest.skip("query finished before suspension point")
-        snapshot = PipelineSnapshot.from_capture(capture)
+        snapshot = Snapshot.from_capture(capture)
         assert set(snapshot.state_blobs) <= set(capture.completed_states)
 
     def test_process_image_round_trip(self, tpch_tiny, tmp_path):
         normal = run_normal(tpch_tiny, "Q3")
         strategy = ProcessLevelStrategy(HardwareProfile())
         _, capture, _ = suspend(tpch_tiny, "Q3", strategy, 0.5, normal.stats.duration)
-        image = ProcessImage.from_capture(capture, 1024)
+        image = Snapshot.from_capture(capture, process_context_bytes=1024)
         path = tmp_path / "img"
         image.write(path)
-        restored = ProcessImage.read(path)
-        assert restored.image_bytes == image.image_bytes
+        restored = Snapshot.read(path, "process")
+        assert restored.raw_bytes == image.raw_bytes == capture.memory_bytes + 1024
         assert restored.next_morsel == image.next_morsel
         assert restored.rows_in_pipeline == image.rows_in_pipeline
         assert len(restored.local_state_blobs) == len(image.local_state_blobs)
 
-    def test_wrong_kind_rejected(self, tpch_tiny):
+    def test_wrong_kind_rejected(self, tpch_tiny, tmp_path):
+        """A snapshot takes its kind from the capture; a strategy handed the
+        other kind's capture refuses to persist it."""
         normal = run_normal(tpch_tiny, "Q3")
-        strategy = PipelineLevelStrategy(HardwareProfile())
-        _, capture, _ = suspend(tpch_tiny, "Q3", strategy, 0.5, normal.stats.duration)
-        with pytest.raises(SnapshotError):
-            ProcessImage.from_capture(capture, 0)
+        pipeline = PipelineLevelStrategy(HardwareProfile())
+        process = ProcessLevelStrategy(HardwareProfile())
+        _, at_breaker, _ = suspend(tpch_tiny, "Q3", pipeline, 0.5, normal.stats.duration)
+        _, mid_pipeline, _ = suspend(tpch_tiny, "Q3", process, 0.5, normal.stats.duration)
+        assert Snapshot.from_capture(at_breaker).kind == "pipeline"
+        assert Snapshot.from_capture(mid_pipeline).kind == "process"
+        with pytest.raises(CriuError):
+            process.persist(at_breaker, tmp_path)
+        with pytest.raises(SnapshotError, match="expected a pipeline capture"):
+            pipeline.persist(mid_pipeline, tmp_path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(b"garbage-bytes-here")
         with pytest.raises(SnapshotError):
-            PipelineSnapshot.read(path)
+            Snapshot.read(path, "pipeline")
 
 
 class TestCriu:

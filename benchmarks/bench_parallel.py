@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--morsel-size", type=int, default=None, metavar="ROWS",
-        help="rows per morsel (default: $RIVETER_MORSEL_SIZE or 16384)",
+        help="rows per morsel (default: 16384)",
     )
     args = parser.parse_args(argv)
 

@@ -48,6 +48,8 @@ import tempfile
 
 from repro.engine.backend import BACKEND_NAMES
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
+from repro.engine.errors import EngineError
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.kernels import KERNEL_NAMES
 from repro.engine.profile import HardwareProfile
@@ -117,16 +119,35 @@ def _optimize(catalog, plan, label, args, journal=None):
     )
 
 
+class _UsageError(Exception):
+    """An invalid option value: ``main`` prints ``error: ...`` and returns 2."""
+
+
+def _execution_config(args: argparse.Namespace, flags) -> ExecutionConfig:
+    """The command's one execution configuration, validated once."""
+    try:
+        return ExecutionConfig.of(
+            morsel_size=args.morsel_size,
+            lazy_filters=flags.selection_vectors,
+            select_operators=flags.selection_vectors,
+            backend=args.backend,
+            kernels=args.kernels,
+            codec=getattr(args, "codec", None),
+        )
+    except EngineError as error:
+        raise _UsageError(str(error)) from None
+
+
 def _execute(
     catalog,
     plan,
     label: str,
     profile: HardwareProfile,
     args: argparse.Namespace,
+    config: ExecutionConfig,
     tracer: Tracer | None,
     metrics: MetricsRegistry | None,
     verbose: bool = True,
-    selection_vectors: bool = True,
     recorder=None,
     profiler=None,
 ) -> QueryResult:
@@ -136,10 +157,7 @@ def _execute(
     executor's clock starts at ``suspended_at + persist + reload`` so the
     exported trace shows one contiguous busy timeline.
 
-    *selection_vectors* controls both lazy selection-vector filtering and
-    the compilation of identity projections to zero-cost selects; it is
-    threaded through to the resumed executor as well, so the snapshot is
-    taken and restored under one execution configuration.
+    *config* reaches the measuring, suspended and resumed executors alike.
 
     *profiler* (a :class:`~repro.obs.profile.QueryProfiler`) attaches
     wall-clock profiling to the measured run — and, under
@@ -148,17 +166,10 @@ def _execute(
     measuring run stays unprofiled: it only calibrates the suspension
     point.
     """
-    exec_opts = dict(
-        lazy_filters=selection_vectors,
-        select_operators=selection_vectors,
-        backend=getattr(args, "backend", None),
-        kernels=getattr(args, "kernels", None),
-        morsel_size=getattr(args, "morsel_size", None),
-    )
     if args.suspend_at is None:
         result = QueryExecutor(
             catalog, plan, profile=profile, query_name=label, tracer=tracer,
-            metrics=metrics, profiler=profiler, **exec_opts,
+            metrics=metrics, profiler=profiler, config=config,
         ).run()
         if recorder is not None:
             _record_query_lifecycle(
@@ -171,11 +182,10 @@ def _execute(
 
     # Untraced measuring run: --suspend-at is a fraction of the normal time.
     normal = QueryExecutor(
-        catalog, plan, profile=profile, query_name=label, **exec_opts
+        catalog, plan, profile=profile, query_name=label, config=config
     ).run()
     strategy = make_strategy(
-        args.strategy, profile, tracer=tracer, metrics=metrics,
-        codec=getattr(args, "codec", "raw"),
+        args.strategy, profile, tracer=tracer, metrics=metrics, config=config
     )
     lifecycle = None
     if recorder is not None:
@@ -202,7 +212,7 @@ def _execute(
         tracer=tracer,
         metrics=metrics,
         profiler=profiler,
-        **exec_opts,
+        config=config,
     )
     piece = session.run_slice(
         strategy.make_request_controller(normal.stats.duration * args.suspend_at)
@@ -260,6 +270,7 @@ def _execute_dist(
     label: str,
     profile: HardwareProfile,
     args: argparse.Namespace,
+    config: ExecutionConfig,
     tracer: Tracer | None,
     metrics: MetricsRegistry | None,
     verbose: bool = True,
@@ -287,15 +298,11 @@ def _execute_dist(
     coordinator = Coordinator(
         sharded,
         profile,
-        morsel_size=args.morsel_size,
         tracer=tracer,
         metrics=metrics,
-        codec=getattr(args, "codec", "raw"),
         store=store,
         snapshot_dir=directory,
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend,
-        kernels=args.kernels,
+        config=config,
     )
     suspend = None
     if args.suspend_at is not None:
@@ -352,6 +359,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 2
 
     optimized = _optimize(catalog, plan, label, args)
+    config = _execution_config(args, optimized.flags)
 
     if args.explain_opt:
         from repro.engine.explain import explain_optimized
@@ -390,7 +398,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             metrics = MetricsRegistry()
             tracer = Tracer(metrics=metrics)
         result, dist = _execute_dist(
-            catalog, optimized, label, profile, args, tracer, metrics
+            catalog, optimized, label, profile, args, config, tracer, metrics
         )
         if args.analyze:
             from repro.engine.explain import explain_analyze
@@ -434,9 +442,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         profiler = QueryProfiler()
 
     result = _execute(
-        catalog, optimized.plan, label, profile, args, tracer, metrics,
-        verbose=True, selection_vectors=optimized.flags.selection_vectors,
-        recorder=recorder, profiler=profiler,
+        catalog, optimized.plan, label, profile, args, config, tracer, metrics,
+        verbose=True, recorder=recorder, profiler=profiler,
     )
 
     if args.analyze:
@@ -471,6 +478,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import text_summary, write_chrome_trace, write_jsonl
 
     optimized = _optimize(catalog, plan, label, args)
+    config = _execution_config(args, optimized.flags)
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics)
     profiler = None
@@ -483,13 +491,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         profiler = QueryProfiler()
     if args.shards > 1:
         _execute_dist(
-            catalog, optimized, label, profile, args, tracer, metrics, verbose=False
+            catalog, optimized, label, profile, args, config, tracer, metrics,
+            verbose=False,
         )
     else:
         _execute(
-            catalog, optimized.plan, label, profile, args, tracer, metrics,
-            verbose=False, selection_vectors=optimized.flags.selection_vectors,
-            profiler=profiler,
+            catalog, optimized.plan, label, profile, args, config, tracer, metrics,
+            verbose=False, profiler=profiler,
         )
     count = write_chrome_trace(tracer, args.out)
     print(f"wrote {count} trace event(s) to {args.out}")
@@ -539,14 +547,11 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 2
     catalog = _make_catalog(args.scale, args.seed)
     profile = HardwareProfile()
-    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
     journal = DecisionJournal()
     optimized = _optimize(catalog, build_query(args.name), args.name, args, journal=journal)
+    config = _execution_config(args, optimized.flags)
+    directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
     store = SnapshotStore(directory, incremental=args.incremental)
-    run_opts = dict(
-        select_operators=optimized.flags.selection_vectors,
-        backend=args.backend, kernels=args.kernels, morsel_size=args.morsel_size,
-    )
     # What Algorithm 1 is audited on: the whole query, or (sharded) the
     # victim shard's fragment under its per-shard label.
     plan, label, plan_catalog = optimized.plan, args.name, catalog
@@ -561,7 +566,7 @@ def cmd_why(args: argparse.Namespace) -> int:
         )
         coordinator = Coordinator(
             sharded, profile, journal=journal, store=store, snapshot_dir=directory,
-            **run_opts,
+            config=config,
         )
         victim = coordinator.pick_victim(ShardSuspension())
         victim_xid = coordinator.victim_exchange(dist, victim)
@@ -573,7 +578,7 @@ def cmd_why(args: argparse.Namespace) -> int:
     # Journal-less side runner: calibrates the threat-free time and runs
     # the forced counterfactuals, so the main journal records only the
     # adaptive deliberation.
-    side_runner = QueryRunner(plan_catalog, profile, snapshot_dir=directory, **run_opts)
+    side_runner = QueryRunner(plan_catalog, profile, snapshot_dir=directory, config=config)
     normal = side_runner.measure_normal(plan, label).stats.duration
     termination = TerminationProfile.from_fractions(
         normal, args.window[0], args.window[1], args.probability
@@ -610,7 +615,7 @@ def cmd_why(args: argparse.Namespace) -> int:
     else:
         runner = QueryRunner(
             catalog, profile, snapshot_dir=directory, journal=journal, store=store,
-            **run_opts,
+            config=config,
         )
         outcome = runner.run_adaptive(
             plan, label, selector_factory(runner, plan, label, normal), normal, event.at_time
@@ -798,14 +803,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     catalog = _make_catalog(args.scale, args.seed)
     profile = HardwareProfile()
     optimized = _optimize(catalog, build_query(args.name), args.name, args)
+    config = _execution_config(args, optimized.flags)
 
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics) if args.chrome else None
     profiler = QueryProfiler()
     _execute(
-        catalog, optimized.plan, args.name, profile, args, tracer, metrics,
-        verbose=False, selection_vectors=optimized.flags.selection_vectors,
-        profiler=profiler,
+        catalog, optimized.plan, args.name, profile, args, config, tracer, metrics,
+        verbose=False, profiler=profiler,
     )
     payload = profiler.to_json()
 
@@ -970,7 +975,7 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--morsel-size", type=int, default=None, metavar="ROWS",
-        help="rows per morsel (default: $RIVETER_MORSEL_SIZE or 16384)",
+        help="rows per morsel (default: 16384)",
     )
 
 
@@ -1275,7 +1280,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_backend_arguments(prof)
     prof.set_defaults(handler=cmd_profile)
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

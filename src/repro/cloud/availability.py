@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.executor import QueryResult
 from repro.engine.plan import PlanNode
@@ -159,14 +160,15 @@ class IntermittentRunner:
         strategy: SuspensionStrategy,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-intermittent",
-        morsel_size: int = 16384,
         safety: float = 1.3,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.catalog = catalog
         self.strategy = strategy
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.morsel_size = morsel_size
+        self.config = ExecutionConfig.of(config, **options)
         #: multiplier on the persist estimate when timing the suspension
         self.safety = safety
 
@@ -187,7 +189,7 @@ class IntermittentRunner:
             self.snapshot_dir,
             self.profile,
             strategy=self.strategy,
-            morsel_size=self.morsel_size,
+            config=self.config,
         )
         for window in trace.windows:
             controllers: list[ExecutionController] = [TerminationController(window.duration)]

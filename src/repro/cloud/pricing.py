@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.cloud.environment import PriceTrace
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.plan import PlanNode
@@ -118,8 +119,9 @@ class PriceAwareRunner:
         budget_per_hour: float,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-prices",
-        morsel_size: int = 16384,
         strategy: str = "pipeline",
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         if strategy not in ("pipeline", "process"):
             raise ValueError(f"strategy must be 'pipeline' or 'process', got {strategy!r}")
@@ -128,9 +130,9 @@ class PriceAwareRunner:
         self.budget = budget_per_hour
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.morsel_size = morsel_size
+        self.config = ExecutionConfig.of(config, **options)
         self.mode = strategy
-        self.strategy = make_strategy(strategy, self.profile)
+        self.strategy = make_strategy(strategy, self.profile, config=self.config)
 
     def _next_affordable(self, wall: float) -> float:
         """First time at/after *wall* whose segment fits the budget."""
@@ -173,7 +175,7 @@ class PriceAwareRunner:
             self.snapshot_dir,
             self.profile,
             strategy=self.strategy,
-            morsel_size=self.morsel_size,
+            config=self.config,
         )
         wall = self._next_affordable(start)
         while True:
@@ -203,7 +205,7 @@ class PriceAwareRunner:
         clock = SimulatedClock()
         result = QueryExecutor(
             self.catalog, plan, profile=self.profile, clock=clock,
-            morsel_size=self.morsel_size, query_name=query_name,
+            query_name=query_name, config=self.config,
         ).run()
         outcome = PriceAwareOutcome(
             query_name=query_name,

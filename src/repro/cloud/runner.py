@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.costmodel.selector import AdaptiveStrategySelector, SelectorDecision
+from repro.engine.config import ExecutionConfig
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
-from repro.engine.executor import QueryResult, resolve_morsel_size
+from repro.engine.executor import QueryResult
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal, resolve_adaptive_action
@@ -174,30 +175,23 @@ class QueryRunner:
         catalog: Catalog,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-snapshots",
-        morsel_size: int | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        codec: str = "raw",
         journal: DecisionJournal | None = None,
         store: "SnapshotStore | None" = None,
-        select_operators: bool = False,
         recorder: TimelineRecorder | None = None,
-        backend: str | None = None,
-        kernels: str | None = None,
         exchange_inputs: dict | None = None,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.catalog = catalog
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.morsel_size = resolve_morsel_size(morsel_size)
-        #: Worker backend / kernel set for every executor this runner
-        #: builds — the forced, adaptive, and resumed runs all share one
-        #: execution configuration so snapshots stay compatible.
-        self.backend = backend
-        self.kernels = kernels
+        #: The forced, adaptive, and resumed runs all share one execution
+        #: configuration so snapshots stay compatible.
+        self.config = ExecutionConfig.of(config, **options)
         self.tracer = tracer
         self.metrics = metrics
-        self.codec = codec
         #: optional timeline sink; when set (or a tracer is attached) each
         #: run builds a causal lifecycle tree on the busy timeline
         self.recorder = recorder
@@ -208,9 +202,6 @@ class QueryRunner:
         #: Optional durable home for snapshots *and* the journal, so a
         #: resumed query keeps its full decision history.
         self.store = store
-        #: Compile identity projections to zero-cost selects; enable when
-        #: running optimizer-rewritten plans (pruning inserts them).
-        self.select_operators = select_operators
         #: Gather-exchange inputs for plans containing ShuffleRead leaves
         #: (repro.dist): supplied to every executor this runner builds,
         #: including the fresh executor a resume constructs.
@@ -318,7 +309,7 @@ class QueryRunner:
     # -- internals -------------------------------------------------------------
     def _strategy(self, name: str) -> SuspensionStrategy:
         return make_strategy(
-            name, self.profile, tracer=self.tracer, metrics=self.metrics, codec=self.codec
+            name, self.profile, tracer=self.tracer, metrics=self.metrics, config=self.config
         )
 
     def _session(
@@ -331,16 +322,12 @@ class QueryRunner:
             self.snapshot_dir,
             self.profile,
             strategy=strategy,
-            codec=self.codec,
             store=self.store,
             lifecycle=self._lifecycle,
             tracer=self.tracer,
             metrics=self.metrics,
-            morsel_size=self.morsel_size,
-            select_operators=self.select_operators,
-            backend=self.backend,
-            kernels=self.kernels,
             exchange_inputs=self.exchange_inputs,
+            config=self.config,
         )
 
     def _drive(

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.cloud.segments import SegmentTimeline, segments_for
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
 from repro.obs.audit import DecisionJournal
@@ -28,8 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import QueryLifecycle, TimelineRecorder
 from repro.obs.trace import Tracer
 from repro.storage.catalog import Catalog
-from repro.suspend.pipeline_level import PipelineLevelStrategy
-from repro.suspend.session import QuerySession
+from repro.suspend.session import QuerySession, make_strategy
 
 __all__ = ["QueryRequest", "QueryCompletion", "ScheduleReport", "SuspensionScheduler"]
 
@@ -95,21 +95,24 @@ class SuspensionScheduler:
         catalog: Catalog,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-scheduler",
-        morsel_size: int = 16384,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         journal: DecisionJournal | None = None,
         recorder: TimelineRecorder | None = None,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.catalog = catalog
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
-        self.morsel_size = morsel_size
+        self.config = ExecutionConfig.of(config, **options)
         self.tracer = tracer
         self.metrics = metrics
         self.journal = journal
         self.recorder = recorder
-        self.strategy = PipelineLevelStrategy(self.profile, tracer=tracer, metrics=metrics)
+        self.strategy = make_strategy(
+            "pipeline", self.profile, tracer=tracer, metrics=metrics, config=self.config
+        )
 
     # -- policies -------------------------------------------------------------
     def run_fifo(self, requests: list[QueryRequest]) -> ScheduleReport:
@@ -147,7 +150,7 @@ class SuspensionScheduler:
             strategy=self.strategy,
             tracer=self.tracer,
             metrics=self.metrics,
-            morsel_size=self.morsel_size,
+            config=self.config,
         )
 
     def _run_to_completion(

@@ -46,7 +46,8 @@ from repro.costmodel.selector import AdaptiveStrategySelector
 from repro.engine import plan as planmod
 from repro.engine.chunk import DataChunk
 from repro.engine.clock import SimulatedClock
-from repro.engine.executor import QueryExecutor, QueryResult, resolve_morsel_size
+from repro.engine.config import ExecutionConfig
+from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.expressions import ColumnRef
 from repro.engine.operators.exchange import ExchangeInput, assemble_exchange
 from repro.engine.operators.hash_join import JoinType
@@ -443,43 +444,29 @@ class Coordinator:
         self,
         sharded: ShardedCatalog,
         profile: HardwareProfile | None = None,
-        morsel_size: int | None = None,
         tracer=None,
         metrics=None,
-        codec: str = "raw",
         journal=None,
         store=None,
         snapshot_dir: str | Path = ".riveter-snapshots",
-        select_operators: bool = False,
-        backend: str | None = None,
-        kernels: str | None = None,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.sharded = sharded
         self.profile = profile if profile is not None else HardwareProfile()
-        self.morsel_size = resolve_morsel_size(morsel_size)
+        self.config = ExecutionConfig.of(config, **options)
         self.tracer = tracer
         self.metrics = metrics
-        self.codec = codec
-        self.journal = journal
-        self.store = store
-        self.snapshot_dir = snapshot_dir
-        self.select_operators = select_operators
-        self.backend = backend
-        self.kernels = kernels
         self.runners = [
             QueryRunner(
                 sharded.catalog_for(k),
                 profile=self.profile,
                 snapshot_dir=snapshot_dir,
-                morsel_size=self.morsel_size,
                 tracer=tracer,
                 metrics=metrics,
-                codec=codec,
                 journal=journal,
                 store=store,
-                select_operators=select_operators,
-                backend=backend,
-                kernels=kernels,
+                config=self.config,
             )
             for k in range(sharded.shards)
         ]
@@ -619,14 +606,11 @@ class Coordinator:
             dist.upper,
             profile=self.profile,
             clock=upper_clock,
-            morsel_size=self.morsel_size,
             query_name=query_name,
             tracer=self.tracer,
             metrics=self.metrics,
-            select_operators=self.select_operators,
-            backend=self.backend,
-            kernels=self.kernels,
             exchange_inputs=exchange_inputs,
+            config=self.config,
         )
         upper_result = executor.run()
 

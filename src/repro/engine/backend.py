@@ -230,14 +230,17 @@ class ParallelBackend(WorkerBackend):
             tasks.close()
 
 
+#: The inline backend is stateless, so one instance serves every executor
+#: (and default execution configs compare equal).
+_SIMULATED = SimulatedBackend()
+
+
 def resolve_backend(spec: WorkerBackend | str | None) -> WorkerBackend:
     """Map a CLI/executor spec (name, instance, or None) to a backend."""
-    if spec is None:
-        return SimulatedBackend()
+    if spec is None or spec == "simulated":
+        return _SIMULATED
     if isinstance(spec, WorkerBackend):
         return spec
-    if spec == "simulated":
-        return SimulatedBackend()
     if spec == "parallel":
         return ParallelBackend()
     raise EngineError(

@@ -34,10 +34,10 @@ import time
 
 from dataclasses import dataclass, field
 
-from repro.engine.backend import WorkerBackend, resolve_backend
 from repro.engine.chunk import DataChunk, concat_chunks
 from repro.engine.clock import Clock, SimulatedClock
-from repro.engine.kernels import KernelSet, resolve_kernels, set_kernels
+from repro.engine.config import ExecutionConfig
+from repro.engine.kernels import set_kernels
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.errors import EngineError, QuerySuspended
 from repro.engine.memory import MemoryAccountant
@@ -58,34 +58,7 @@ __all__ = [
     "ExecutionCapture",
     "ResumeState",
     "MorselResult",
-    "DEFAULT_MORSEL_SIZE",
-    "resolve_morsel_size",
 ]
-
-DEFAULT_MORSEL_SIZE = 16384
-
-#: Environment override for the default morsel size (CLI ``--morsel-size``
-#: wins over the environment; an explicit executor argument wins over both).
-MORSEL_SIZE_ENV = "RIVETER_MORSEL_SIZE"
-
-
-def resolve_morsel_size(morsel_size: int | None = None) -> int:
-    """Resolve an effective morsel size: argument > env > default."""
-    if morsel_size is None:
-        env = os.environ.get(MORSEL_SIZE_ENV, "").strip()
-        if env:
-            try:
-                morsel_size = int(env)
-            except ValueError:
-                raise EngineError(
-                    f"invalid {MORSEL_SIZE_ENV}={env!r}: expected an integer"
-                ) from None
-        else:
-            morsel_size = DEFAULT_MORSEL_SIZE
-    morsel_size = int(morsel_size)
-    if morsel_size <= 0:
-        raise EngineError(f"morsel size must be positive, got {morsel_size}")
-    return morsel_size
 
 #: Morsels folded into one ``morsel``-category trace span.  Per-morsel
 #: events would dominate the buffer; batches keep traces readable while
@@ -247,26 +220,21 @@ class QueryExecutor:
         plan: PlanNode,
         profile: HardwareProfile | None = None,
         clock: Clock | None = None,
-        morsel_size: int | None = None,
         controller: ExecutionController | None = None,
         query_name: str = "query",
         resume: ResumeState | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        lazy_filters: bool = True,
-        select_operators: bool = False,
-        backend: WorkerBackend | str | None = None,
-        kernels: KernelSet | str | None = None,
         profiler=None,
         exchange_inputs: dict[int, "ExchangeInput"] | None = None,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.catalog = catalog
         self.plan = plan
         self.profile = profile if profile is not None else HardwareProfile()
         self.clock = clock if clock is not None else SimulatedClock()
-        self.morsel_size = resolve_morsel_size(morsel_size)
-        self.backend = resolve_backend(backend)
-        self.kernels = resolve_kernels(kernels)
+        self.config = ExecutionConfig.of(config, **options)
         self.controller = controller if controller is not None else ExecutionController()
         self.query_name = query_name
         self.tracer = tracer
@@ -284,15 +252,11 @@ class QueryExecutor:
         # leaves (repro.dist), including again on resume.
         self.exchange_inputs = exchange_inputs or {}
         self.plan_fingerprint = plan_fingerprint(plan)
-        # Lazy filters are the default: selection vectors defer column
-        # copies inside a pipeline, and the materialize() before every
-        # sink below keeps results, stats, and snapshots byte-identical
-        # to the eager mode.  Benchmarks pass lazy_filters=False for the
-        # optimizer-off baseline.
-        self.lazy_filters = lazy_filters
-        self.select_operators = select_operators
         self.pipelines: list[Pipeline] = build_pipelines(
-            catalog, plan, lazy_filters=lazy_filters, select_operators=select_operators
+            catalog,
+            plan,
+            lazy_filters=self.config.lazy_filters,
+            select_operators=self.config.select_operators,
         )
         self.completed_states: dict[int, GlobalSinkState] = {}
         self.skipped_pipelines: set[int] = set()
@@ -336,7 +300,7 @@ class QueryExecutor:
         # executors and callers keep theirs.  Forked parallel workers
         # inherit the active set.  Under profiling the set is wrapped in
         # a delegating wall-timer (bit-identical results by construction).
-        kernels = self.kernels
+        kernels = self.config.kernels
         if self.profiler is not None:
             kernels = self.profiler.wrap_kernels(kernels)
         previous_kernels = set_kernels(kernels)
@@ -414,10 +378,11 @@ class QueryExecutor:
                     "process-level resume requires the original worker count "
                     f"({len(local_states)}), got {self.profile.num_threads}"
                 )
-            if self._resume.morsel_size and self._resume.morsel_size != self.morsel_size:
+            morsel_size = self.config.morsel_size
+            if self._resume.morsel_size and self._resume.morsel_size != morsel_size:
                 raise EngineError(
                     "process-level resume requires the original morsel size "
-                    f"({self._resume.morsel_size}), got {self.morsel_size}: "
+                    f"({self._resume.morsel_size}), got {morsel_size}: "
                     "the captured cursor counts morsels"
                 )
             run = _PipelineRun(pipeline, source, local_states, self._resume.next_morsel)
@@ -432,7 +397,7 @@ class QueryExecutor:
         run.batch_start_morsel = run.next_morsel
         run.batch_started_at = run.started_at
 
-        self.backend.run_morsels(self, position, run, source.morsel_count)
+        self.config.backend.run_morsels(self, position, run, source.morsel_count)
         self._finish_pipeline(position, run)
 
     def _flush_morsel_batch(self, run: _PipelineRun) -> None:
@@ -660,14 +625,14 @@ class QueryExecutor:
         spec = pipeline.source
         if spec.kind == "table":
             table = self.catalog.get(spec.table)
-            return TableScanSource(table, list(spec.columns), self.morsel_size)
+            return TableScanSource(table, list(spec.columns), self.config.morsel_size)
         if spec.kind == "state":
             chunks = []
             for pid in spec.state_pipelines:
                 state = self.completed_states[pid]
                 chunks.append(self.pipelines[pid].sink.result_chunk(state))
             merged = concat_chunks(pipeline.source_schema, chunks)
-            return ChunkSource(merged, self.morsel_size)
+            return ChunkSource(merged, self.config.morsel_size)
         if spec.kind == "exchange":
             exchange_input = self.exchange_inputs.get(spec.exchange_id)
             if exchange_input is None:
@@ -675,7 +640,7 @@ class QueryExecutor:
                     f"no exchange input for exchange id {spec.exchange_id}; "
                     "the coordinator must supply exchange_inputs"
                 )
-            return ExchangeSource(exchange_input, self.morsel_size)
+            return ExchangeSource(exchange_input, self.config.morsel_size)
         raise EngineError(f"unknown source kind {spec.kind!r}")
 
     def _bind_probe_states(self, pipeline: Pipeline) -> None:
@@ -729,7 +694,7 @@ class QueryExecutor:
             plan_fingerprint=self.plan_fingerprint,
             clock_time=self.clock.now(),
             num_threads=self.profile.num_threads,
-            morsel_size=self.morsel_size,
+            morsel_size=self.config.morsel_size,
             completed_states=dict(self.completed_states),
             stats=self.stats,
             memory_bytes=self.memory.total_bytes,

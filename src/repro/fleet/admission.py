@@ -156,21 +156,12 @@ class SchedulingPolicy:
     #: whether running non-interactive queries should be suspended when
     #: interactive work would otherwise wait
     preemptive: bool = False
-    #: static per-query heap key (a callable) when the policy's order does
-    #: not depend on runtime state; lets the cluster keep its ready set in
-    #: policy order instead of re-scanning.  ``None`` falls back to
-    #: :meth:`select` over the full ready list.
+    #: static per-query heap key (a callable): the cluster keeps its ready
+    #: set in this order.  A policy declares this or :attr:`fair_share`.
     order_key = None
-    #: marks the weighted-fair-queueing order (two-level ready set)
+    #: marks the weighted-fair-queueing order (two-level ready set keyed by
+    #: each tenant's busy time divided by its weight, then arrival, name)
     fair_share: bool = False
-
-    def select(self, queue: list, served_per_weight: dict[str, float]):
-        """Pick the next query to dispatch from a non-empty *queue*.
-
-        ``served_per_weight`` maps tenant names to accumulated busy time
-        divided by tenant weight (fair-share's virtual service).
-        """
-        raise NotImplementedError
 
 
 class FifoPolicy(SchedulingPolicy):
@@ -182,9 +173,6 @@ class FifoPolicy(SchedulingPolicy):
     @staticmethod
     def order_key(query):
         return (query.arrival.arrival_time, query.arrival.name)
-
-    def select(self, queue, served_per_weight):
-        return min(queue, key=self.order_key)
 
 
 class SuspendAwarePolicy(SchedulingPolicy):
@@ -201,9 +189,6 @@ class SuspendAwarePolicy(SchedulingPolicy):
             query.arrival.name,
         )
 
-    def select(self, queue, served_per_weight):
-        return min(queue, key=self.order_key)
-
 
 class FairSharePolicy(SchedulingPolicy):
     """Weighted fair queueing across tenants, with preemption."""
@@ -211,16 +196,6 @@ class FairSharePolicy(SchedulingPolicy):
     name = "fair-share"
     preemptive = True
     fair_share = True
-
-    def select(self, queue, served_per_weight):
-        return min(
-            queue,
-            key=lambda q: (
-                served_per_weight.get(q.arrival.tenant, 0.0),
-                q.arrival.arrival_time,
-                q.arrival.name,
-            ),
-        )
 
 
 POLICIES: dict[str, type[SchedulingPolicy]] = {

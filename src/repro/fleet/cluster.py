@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.cloud.segments import SegmentTimeline
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.controller import ExecutionController
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
@@ -68,8 +69,7 @@ from repro.obs.trace import Tracer
 from repro.seeding import derive_seed
 from repro.storage.catalog import Catalog
 from repro.suspend.controller import CompositeController, TerminationController
-from repro.suspend.pipeline_level import PipelineLevelStrategy
-from repro.suspend.session import QuerySession, Slice
+from repro.suspend.session import QuerySession, Slice, make_strategy
 from repro.tpch import build_query
 
 __all__ = [
@@ -250,37 +250,6 @@ class _FleetQuery:
         return (self.session or self.macro).has_snapshot
 
 
-class _SelectReadyQueue:
-    """Fallback ready set for policies without a static ``order_key``.
-
-    Preserves the historic behaviour for custom
-    :class:`~repro.fleet.admission.SchedulingPolicy` subclasses: the full
-    ready list is handed to ``policy.select`` on every dispatch.
-    """
-
-    def __init__(self, policy: SchedulingPolicy, served_per_weight: dict):
-        self._policy = policy
-        self._served = served_per_weight
-        self._items: list[_FleetQuery] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def add(self, query: _FleetQuery) -> None:
-        self._items.append(query)
-
-    def pop_min(self) -> _FleetQuery:
-        query = self._policy.select(self._items, self._served)
-        self._items.remove(query)
-        return query
-
-    def reorder(self, tenant: str) -> None:
-        """``select`` reads served time live; nothing cached to re-key."""
-
-
 @dataclass
 class _RunState:
     """Mutable per-run scheduling state (one :meth:`FleetCluster.run`)."""
@@ -351,7 +320,6 @@ class FleetCluster:
         profile: HardwareProfile | None = None,
         admission: AdmissionController | None = None,
         snapshot_dir: str | os.PathLike | None = None,
-        morsel_size: int = 16384,
         mean_on_seconds: float = 600.0,
         mean_off_seconds: float = 45.0,
         tracer: Tracer | None = None,
@@ -361,9 +329,15 @@ class FleetCluster:
         slo=None,
         fidelity: str = "engine",
         macro_profiles: dict[str, QueryRunProfile] | None = None,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         if workers <= 0:
             raise ValueError(f"worker count must be positive, got {workers}")
+        if not policy.fair_share and policy.order_key is None:
+            raise ValueError(
+                f"policy {policy.name!r} declares neither an order_key nor fair_share"
+            )
         if fidelity not in FIDELITIES:
             raise ValueError(
                 f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
@@ -379,7 +353,7 @@ class FleetCluster:
             if snapshot_dir is not None
             else tempfile.mkdtemp(prefix="riveter-fleet-")
         )
-        self.morsel_size = morsel_size
+        self.config = ExecutionConfig.of(config, **options)
         self.mean_on_seconds = mean_on_seconds
         self.mean_off_seconds = mean_off_seconds
         self.tracer = tracer
@@ -394,13 +368,15 @@ class FleetCluster:
         #: "engine" runs a QueryExecutor per slice; "macro" replays the
         #: calibrated run profile analytically (byte-identical results)
         self.fidelity = fidelity
-        self.strategy = PipelineLevelStrategy(self.profile, metrics=metrics)
+        self.strategy = make_strategy(
+            "pipeline", self.profile, metrics=metrics, config=self.config
+        )
         if self.admission.tracer is None:
             self.admission.tracer = tracer
         self._plans: dict[str, object] = {}
         self._measured: dict[str, tuple[float, int]] = {}
         #: calibrated run profiles, shareable across clusters with the
-        #: same catalog/profile/morsel size (e.g. the bench sweep)
+        #: same catalog/profile/execution config (e.g. the bench sweep)
         self._macro_profiles: dict[str, QueryRunProfile] = (
             macro_profiles if macro_profiles is not None else {}
         )
@@ -426,9 +402,8 @@ class FleetCluster:
                 self.catalog,
                 self._plan(query),
                 self.profile,
-                self.morsel_size,
                 query,
-                self.strategy.codec,
+                config=self.config,
             )
             self._macro_profiles[query] = run_profile
         return run_profile
@@ -446,14 +421,12 @@ class FleetCluster:
                 run_profile = self._macro_profile(query)
                 cached = (run_profile.normal_time, run_profile.peak_memory_bytes)
             else:
-                clock = SimulatedClock()
                 result = QueryExecutor(
                     self.catalog,
                     self._plan(query),
                     profile=self.profile,
-                    clock=clock,
-                    morsel_size=self.morsel_size,
                     query_name=query,
+                    config=self.config,
                 ).run()
                 cached = (result.stats.duration, result.peak_memory_bytes)
             self._measured[query] = cached
@@ -462,12 +435,9 @@ class FleetCluster:
 
     # -- simulation ----------------------------------------------------------
     def _make_ready_set(self, served_per_weight: dict[str, float]):
-        if getattr(self.policy, "fair_share", False):
+        if self.policy.fair_share:
             return FairShareReadyQueue(served_per_weight)
-        order_key = getattr(self.policy, "order_key", None)
-        if order_key is not None:
-            return ReadyQueue(order_key)
-        return _SelectReadyQueue(self.policy, served_per_weight)
+        return ReadyQueue(self.policy.order_key)
 
     def run(self, arrivals: list[QueryArrival], duration: float) -> FleetResult:
         """Simulate *arrivals* over a horizon of *duration* virtual seconds."""
@@ -612,7 +582,7 @@ class FleetCluster:
                 self.snapshot_dir,
                 self.profile,
                 strategy=self.strategy,
-                morsel_size=self.morsel_size,
+                config=self.config,
             )
         self._requeue(query)
         self._sample_state(arrival.arrival_time)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
@@ -52,12 +53,6 @@ __all__ = [
 
 #: DeadlineController's default safety factor (pipeline mode).
 _DEADLINE_SAFETY = 1.3
-
-#: Remaining-pipeline count at which the slice decision switches from the
-#: scalar walk to the elementwise path.  Both produce bitwise-identical
-#: outcomes; the threshold is purely a constant-factor trade
-#: (numpy call overhead vs. Python loop iterations).
-_VECTOR_THRESHOLD = 24
 
 
 class _RecordingClock(SimulatedClock):
@@ -83,10 +78,9 @@ class _CalibrationController(ExecutionController):
     ``prepare_resume`` term by term (no file ever touches disk).
     """
 
-    def __init__(self, clock: _RecordingClock, profile: HardwareProfile, codec: str):
+    def __init__(self, clock: _RecordingClock, profile: HardwareProfile):
         self.clock = clock
         self.profile = profile
-        self.codec = codec
         #: (consumed-delta count, breaker pipeline pos or -1) per check
         self.checks: list[tuple[int, int]] = []
         self.pipe_start: list[int] = []
@@ -112,8 +106,9 @@ class _CalibrationController(ExecutionController):
         self.checks.append((position, context.pipeline_pos))
         self._last_breaker = position
         self.live_bytes.append(int(context.pipeline_state_bytes))
+        executor = context.executor
         snapshot = Snapshot.from_capture(
-            context.executor._capture_pipeline(), codec_name=self.codec
+            executor._capture_pipeline(), codec_name=executor.config.codec
         )
         nbytes = snapshot.intermediate_bytes
         self.intermediate_bytes.append(int(nbytes))
@@ -210,21 +205,22 @@ def calibrate_query(
     catalog,
     plan,
     profile: HardwareProfile,
-    morsel_size: int,
     query: str,
-    codec: str,
+    config: ExecutionConfig | None = None,
+    **options,
 ) -> QueryRunProfile:
     """One instrumented engine run -> a reusable macro profile."""
     clock = _RecordingClock()
-    recorder = _CalibrationController(clock, profile, codec)
+    recorder = _CalibrationController(clock, profile)
     result = QueryExecutor(
         catalog,
         plan,
         profile=profile,
         clock=clock,
-        morsel_size=morsel_size,
         controller=recorder,
         query_name=query,
+        config=config,
+        **options,
     ).run()
     check_pos = np.asarray([pos for pos, _ in recorder.checks], dtype=np.int64)
     check_breaker = np.asarray([b for _, b in recorder.checks], dtype=np.int64)
@@ -271,33 +267,13 @@ def run_macro_slice(
 
     The decision logic replays the engine's controller chain in
     consultation order — termination first, then deadline, then
-    suspension request — against the bit-exact clock grid.  Short slice
-    remainders walk the pipelines with a scalar loop; long ones evaluate
-    the same float operations (the running duration mean, the
-    ``clock + mean + margin`` deadline test) elementwise in the same
-    left-to-right order, so both paths choose the same boundary and emit
-    bitwise-identical values — which path runs is purely a speed choice.
+    suspension request — against the bit-exact clock grid, walking the
+    remaining pipelines one by one (a TPC-H plan has at most 12).
     """
     offset = int(run_profile.pipe_start[prefix])
     grid = np.add.accumulate(
         np.concatenate(([clock_start], run_profile.deltas[offset:]))
     )
-    if run_profile.pipeline_count - prefix < _VECTOR_THRESHOLD:
-        return _decide_scalar(
-            run_profile, prefix, durations, grid, offset,
-            window_end, deadline_active, request_at,
-        )
-    return _decide_vector(
-        run_profile, prefix, durations, grid, offset,
-        window_end, deadline_active, request_at,
-    )
-
-
-def _decide_scalar(
-    run_profile, prefix, durations, grid, offset,
-    window_end, deadline_active, request_at,
-) -> MacroSliceOutcome:
-    """Walk the remaining pipelines one by one (fast for short tails)."""
     total = run_profile.pipeline_count
     check_pos = run_profile.check_pos
     breaker_check = run_profile.breaker_check
@@ -333,57 +309,6 @@ def _decide_scalar(
             if request_at is not None and clock_at_breaker >= request_at:
                 return _suspend_outcome(run_profile, position, clock_at_breaker)
     del durations[-appended:]
-    return MacroSliceOutcome(kind="complete", end=float(grid[-1]))
-
-
-def _decide_vector(
-    run_profile, prefix, durations, grid, offset,
-    window_end, deadline_active, request_at,
-) -> MacroSliceOutcome:
-    """Evaluate every remaining breaker elementwise (fast for long tails)."""
-    count = run_profile.pipeline_count - prefix
-    breaker_checks = run_profile.breaker_check[prefix:]
-    ends = grid[run_profile.check_pos[breaker_checks] - offset]
-    # Relative position where each controller fires, ``count`` = never.
-    # Termination lands at the first breaker whose clock reaches the
-    # window end: the breaker carries its pipeline's largest clock value,
-    # so that breaker's pipeline holds the first check at/past the end —
-    # and termination is consulted before the other controllers.
-    stop_terminate = int(ends.searchsorted(window_end, side="left"))
-    stop_suspend = count
-    if deadline_active or request_at is not None:
-        suspend = np.zeros(count, dtype=bool)
-        if deadline_active:
-            # The engine records the pipeline's stats before consulting
-            # the controller, so the just-finished pipeline is part of
-            # the mean.  ``np.add.accumulate`` over history + new
-            # durations replays the scalar ``sum(durations)`` exactly.
-            starts = grid[run_profile.pipe_start[prefix:] - offset]
-            history = np.concatenate(
-                [np.asarray(durations, dtype=np.float64), ends - starts]
-            )
-            sums = np.add.accumulate(history)[len(durations) :]
-            counts = np.arange(
-                len(durations) + 1, len(durations) + count + 1, dtype=np.float64
-            )
-            margins = run_profile.deadline_margin[prefix:]
-            suspend |= ends + sums / counts + margins >= window_end
-        if request_at is not None:
-            suspend |= ends >= request_at
-        suspend[-1] = False  # the last pipeline always runs to the end
-        hits = np.flatnonzero(suspend)
-        if hits.size:
-            stop_suspend = int(hits[0])
-
-    if stop_terminate < count and stop_terminate <= stop_suspend:
-        return MacroSliceOutcome(kind="terminate")
-    if stop_suspend < count:
-        starts = grid[run_profile.pipe_start[prefix:] - offset]
-        finished = ends - starts
-        durations.extend(float(d) for d in finished[: stop_suspend + 1])
-        return _suspend_outcome(
-            run_profile, prefix + stop_suspend, float(ends[stop_suspend])
-        )
     return MacroSliceOutcome(kind="complete", end=float(grid[-1]))
 
 

@@ -9,7 +9,6 @@ CI smoke job.
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.cloud.environment import PriceTrace
@@ -23,6 +22,7 @@ from repro.fleet.slo import (
     worker_utilization,
 )
 from repro.harness.report import format_table
+from repro.obs.export import canonical_json
 from repro.seeding import derive_seed
 
 __all__ = [
@@ -90,7 +90,7 @@ def fleet_report(result: FleetResult, prices: PriceTrace | None = None) -> dict:
 
 def report_to_json(report: dict) -> str:
     """Canonical (byte-stable) serialization of a fleet report."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(report) + "\n"
 
 
 def write_report(report: dict, path: str | os.PathLike) -> None:

@@ -23,11 +23,11 @@ virtual clock.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from repro.cloud.environment import PriceTrace
 from repro.fleet.cluster import FleetResult
+from repro.obs.metrics import percentile
 
 __all__ = [
     "percentile",
@@ -39,17 +39,6 @@ __all__ = [
     "SLOMonitor",
     "worker_utilization",
 ]
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of *values* (``q`` in ``[0, 1]``)."""
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be within [0, 1], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
 
 
 def latency_stats(latencies: list[float]) -> dict:

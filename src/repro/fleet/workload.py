@@ -22,11 +22,11 @@ fleet determinism tests assert end to end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.export import canonical_json
 from repro.seeding import derive_seed
 
 __all__ = [
@@ -258,6 +258,6 @@ def workload_to_jsonl(arrivals: list[QueryArrival]) -> str:
     inspection and twin calibration.
     """
     return "".join(
-        json.dumps(arrival.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        canonical_json(arrival.to_json()) + "\n"
         for arrival in arrivals
     )

@@ -39,6 +39,7 @@ from repro.costmodel.regression import (
 )
 from repro.costmodel.selector import AdaptiveStrategySelector
 from repro.costmodel.termination import TerminationProfile
+from repro.engine.config import ExecutionConfig
 from repro.engine.plan import count_operators, referenced_tables
 from repro.engine.profile import HardwareProfile
 from repro.storage.catalog import Catalog
@@ -81,7 +82,7 @@ IO_TIME_SCALE = 1.0 / 1000.0
 CONTEXT_PERSIST_SECONDS = 0.5
 
 _CATALOG_CACHE: dict[tuple[float, int], Catalog] = {}
-_NORMAL_CACHE: dict[tuple[float, str, int], float] = {}
+_NORMAL_CACHE: dict[tuple[float, str, ExecutionConfig], float] = {}
 
 
 @dataclass
@@ -92,12 +93,14 @@ class ExperimentConfig:
     sf_labels: list[str] = field(default_factory=lambda: list(PAPER_SF_LABELS))
     queries: list[str] = field(default_factory=lambda: list(QUERY_NAMES))
     runs: int = 3
-    morsel_size: int = 16384
     profile: HardwareProfile | None = None
     snapshot_dir: str | None = None
     seed: int = 42
+    #: execution configuration of every runner and session built here
+    config: ExecutionConfig | None = None
 
     def __post_init__(self) -> None:
+        self.config = ExecutionConfig.of(self.config)
         if self.profile is None:
             base = HardwareProfile()
             context = int(
@@ -123,13 +126,13 @@ class ExperimentConfig:
             self.catalog(sf_label),
             self.profile,
             snapshot_dir=directory,
-            morsel_size=self.morsel_size,
+            config=self.config,
         )
 
     def normal_time(self, sf_label: str, query: str) -> float:
         """Normal (threat-free) execution time, cached."""
         scale = self.scale_policy.local_scale(sf_label)
-        key = (scale, query, self.morsel_size)
+        key = (scale, query, self.config)
         if key not in _NORMAL_CACHE:
             result = self.runner(sf_label).measure_normal(build_query(query), query)
             _NORMAL_CACHE[key] = result.stats.duration
@@ -153,7 +156,7 @@ def _suspend_capture(
         query,
         config.snapshot_dir or tempfile.gettempdir(),
         config.profile,
-        morsel_size=config.morsel_size,
+        config=config.config,
     )
     return session.run_slice(controller).capture, controller
 

@@ -59,6 +59,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.obs.export import canonical_json
+
 __all__ = [
     "AUDIT_KINDS",
     "AuditRecord",
@@ -135,10 +137,6 @@ class AuditRecord:
         )
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 class DecisionJournal:
     """Append-only store of :class:`AuditRecord` entries.
 
@@ -192,7 +190,7 @@ class DecisionJournal:
     # -- serialization -------------------------------------------------------
     def to_jsonl(self) -> str:
         """Canonical JSON lines; byte-identical across same-seed runs."""
-        lines = [_dumps(r.to_json()) for r in self._records]
+        lines = [canonical_json(r.to_json()) for r in self._records]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_jsonl(self, path: str | os.PathLike) -> int:

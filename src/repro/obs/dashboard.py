@@ -20,9 +20,9 @@ host-dependent.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 
+from repro.obs.metrics import percentile
 from repro.obs.timeline import Timeline
 
 __all__ = ["sparkline", "render_report", "render_profile"]
@@ -50,15 +50,6 @@ def sparkline(values: list[float], ceiling: float | None = None) -> str:
     return "".join(out)
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (bit-stable, same method as the fleet report)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
 def _class_rows(timeline: Timeline) -> list[tuple]:
     """Per-tenant-class rows: counts, overall quantiles, windowed p95."""
     by_class: dict[str, list[dict]] = defaultdict(list)
@@ -74,15 +65,15 @@ def _class_rows(timeline: Timeline) -> list[tuple]:
         for c in completions:
             windowed[int(c["finished_at"] // window)].append(c["latency"])
         series = [
-            _percentile(windowed[w], 0.95) for w in sorted(windowed)
+            percentile(windowed[w], 0.95) for w in sorted(windowed)
         ]
         rows.append(
             (
                 klass,
                 len(completions),
                 missed,
-                f"{_percentile(latencies, 0.50):.2f}",
-                f"{_percentile(latencies, 0.95):.2f}",
+                f"{percentile(latencies, 0.50):.2f}",
+                f"{percentile(latencies, 0.95):.2f}",
                 sparkline(series),
             )
         )
@@ -105,7 +96,7 @@ def _tenant_rows(timeline: Timeline) -> list[tuple]:
                 completions[0].get("tenant_class", "?"),
                 len(completions),
                 missed,
-                f"{_percentile(latencies, 0.95):.2f}",
+                f"{percentile(latencies, 0.95):.2f}",
                 suspensions,
             )
         )

@@ -46,7 +46,8 @@ _SECONDS_TO_MICROS = 1e6
 TRACE_JSONL_FORMAT = "riveter-trace/1"
 
 
-def _dumps(payload) -> str:
+def canonical_json(payload) -> str:
+    """The one byte-stable JSON spelling: sorted keys, no whitespace."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -62,8 +63,8 @@ def trace_to_jsonl(tracer: Tracer) -> str:
         "events": len(tracer),
         "dropped": tracer.dropped,
     }
-    lines = [_dumps(header)]
-    lines.extend(_dumps(event.to_json()) for event in tracer.events)
+    lines = [canonical_json(header)]
+    lines.extend(canonical_json(event.to_json()) for event in tracer.events)
     return "\n".join(lines) + "\n"
 
 
@@ -218,11 +219,8 @@ def write_chrome_trace(
 ) -> int:
     """Write the Chrome-trace export to *path*; returns the event count."""
     with open(path, "w", encoding="utf-8") as stream:
-        json.dump(
-            trace_to_chrome(tracer, timeline=timeline, profile=profile),
-            stream,
-            sort_keys=True,
-            separators=(",", ":"),
+        stream.write(
+            canonical_json(trace_to_chrome(tracer, timeline=timeline, profile=profile))
         )
     return len(tracer)
 
@@ -324,7 +322,7 @@ def write_schedule_trace(report, path: str | os.PathLike, policy: str = "schedul
     """Write the scheduler timeline export to *path*; returns span count."""
     payload = schedule_to_chrome(report, policy)
     with open(path, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
+        stream.write(canonical_json(payload))
     return sum(1 for e in payload["traceEvents"] if e["ph"] == "X")
 
 

@@ -54,6 +54,7 @@ so unprofiled metric exports stay byte-identical across hosts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "WALL_BUCKETS",
+    "percentile",
 ]
 
 #: Default histogram bucket upper bounds, in the units of the observed
@@ -74,6 +76,17 @@ DEFAULT_BUCKETS = (0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 300.0, 1800.0)
 #: span a much wider dynamic range than virtual latencies (a morsel can
 #: compute in tens of microseconds).
 WALL_BUCKETS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 60.0)
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile of *values* (``q`` in ``[0, 1]``)."""
+    if not values:
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be within [0, 1], got {q}")
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[rank - 1]
 
 
 @dataclass

@@ -396,10 +396,11 @@ class QueryProfiler:
     def bind(self, executor) -> None:
         """Adopt a (possibly resumed) executor's run configuration."""
         self.query_name = executor.query_name
-        self.backend = executor.backend.name
-        self.kernels_name = executor.kernels.name
+        config = executor.config
+        self.backend = config.backend.name
+        self.kernels_name = config.kernels.name
         self.num_threads = executor.profile.num_threads
-        self.morsel_size = executor.morsel_size
+        self.morsel_size = config.morsel_size
 
     def wrap_kernels(self, kernels: KernelSet) -> ProfilingKernels:
         return ProfilingKernels(kernels, self.kernel_recorder)

@@ -32,6 +32,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.obs.export import canonical_json
 from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
@@ -258,10 +259,6 @@ def _span_record(event: TraceEvent) -> dict:
     }
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 class TimelineRecorder:
     """Windowed counter samples plus lifecycle spans, in one artifact.
 
@@ -389,11 +386,11 @@ class TimelineRecorder:
 
     def to_jsonl(self, dropped_events: int = 0) -> str:
         """Canonical JSON lines; byte-identical across same-seed runs."""
-        lines = [_dumps(self.header(dropped_events))]
-        lines.extend(_dumps(record) for record in self.samples)
-        lines.extend(_dumps(record) for record in self.spans)
-        lines.extend(_dumps(record) for record in self.completions)
-        lines.extend(_dumps(record) for record in self.alerts)
+        lines = [canonical_json(self.header(dropped_events))]
+        lines.extend(canonical_json(record) for record in self.samples)
+        lines.extend(canonical_json(record) for record in self.spans)
+        lines.extend(canonical_json(record) for record in self.completions)
+        lines.extend(canonical_json(record) for record in self.alerts)
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | os.PathLike, dropped_events: int = 0) -> int:

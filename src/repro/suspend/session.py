@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.controller import ExecutionController
 from repro.engine.errors import QuerySuspended, QueryTerminated
 from repro.engine.executor import ExecutionCapture, QueryExecutor, QueryResult
@@ -45,7 +46,8 @@ def make_strategy(
     profile: HardwareProfile,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    codec: str = "raw",
+    config: ExecutionConfig | None = None,
+    **options,
 ) -> SuspensionStrategy:
     """Strategy instance by name (``redo`` / ``pipeline`` / ``process``)."""
     strategies = {
@@ -55,6 +57,7 @@ def make_strategy(
     }
     if name not in strategies:
         raise KeyError(f"unknown strategy {name!r}; expected one of {sorted(strategies)}")
+    codec = ExecutionConfig.of(config, **options).codec
     return strategies[name](profile, tracer=tracer, metrics=metrics, codec=codec)
 
 
@@ -92,11 +95,11 @@ class QuerySession:
 
     *strategy* is the strategy every suspension persists through; leave
     it ``None`` to derive it from the first capture's kind (adaptive
-    runs: the kind equals Algorithm 1's choice), built with *codec*.
-    *lifecycle* is bound to the strategy around every persist/reload so
-    their spans join the query's causal tree.  Remaining keyword
-    arguments go to every slice's ``QueryExecutor`` unchanged, so a
-    snapshot is taken and restored under one execution configuration.
+    runs: the kind equals Algorithm 1's choice).  *lifecycle* is bound
+    to the strategy around every persist/reload so their spans join the
+    query's causal tree.  *config* / *options* resolve once, here; every
+    slice's ``QueryExecutor`` and a derived strategy get the same object,
+    so a snapshot is taken and restored under one execution configuration.
     """
 
     def __init__(
@@ -107,12 +110,14 @@ class QuerySession:
         directory: str | os.PathLike,
         profile: HardwareProfile,
         strategy: SuspensionStrategy | None = None,
-        codec: str = "raw",
         store: SnapshotStore | None = None,
         lifecycle=None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        **executor_options,
+        profiler=None,
+        exchange_inputs: dict | None = None,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.catalog = catalog
         self.plan = plan
@@ -120,12 +125,13 @@ class QuerySession:
         self.directory = Path(directory)
         self.profile = profile
         self.strategy = strategy
-        self.codec = codec
         self.store = store
         self.lifecycle = lifecycle
         self.tracer = tracer
         self.metrics = metrics
-        self._executor_options = executor_options
+        self.profiler = profiler
+        self.exchange_inputs = exchange_inputs
+        self.config = ExecutionConfig.of(config, **options)
         #: last slice's pipelines and plan fingerprint, which the committed
         #: snapshot's states deserialize through
         self._pipelines: list[Pipeline] | None = None
@@ -194,7 +200,9 @@ class QuerySession:
             resume=resume,
             tracer=self.tracer,
             metrics=self.metrics,
-            **self._executor_options,
+            profiler=self.profiler,
+            exchange_inputs=self.exchange_inputs,
+            config=self.config,
         )
         self._pipelines, self._fingerprint = executor.pipelines, executor.plan_fingerprint
         return executor
@@ -207,7 +215,7 @@ class QuerySession:
                 self.profile,
                 tracer=self.tracer,
                 metrics=self.metrics,
-                codec=self.codec,
+                config=self.config,
             )
         self.strategy.lifecycle = self.lifecycle
         staging = self.directory / STAGING_DIR

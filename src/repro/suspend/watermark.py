@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.engine.chunk import DataChunk, concat_chunks
 from repro.engine.clock import Clock, SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.operators.aggregate import AggSpec, HashAggregateSink
 from repro.engine.operators.base import chunk_from_stream, chunk_to_stream
 from repro.engine.profile import HardwareProfile
@@ -97,13 +98,14 @@ class WatermarkAggregation:
         aggregates: list[AggSpec],
         columns: list[str] | None = None,
         profile: HardwareProfile | None = None,
-        morsel_size: int = 16384,
+        config: ExecutionConfig | None = None,
+        **options,
     ):
         self.catalog = catalog
         self.table_name = table
         self.group_key = group_key
         self.profile = profile if profile is not None else HardwareProfile()
-        self.morsel_size = morsel_size
+        self.morsel_size = ExecutionConfig.of(config, **options).morsel_size
         data = catalog.get(table)
         needed = columns or data.schema.names
         if group_key not in needed:

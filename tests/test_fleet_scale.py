@@ -1,6 +1,5 @@
 """Fleet-at-scale structures: event queue, workload vectorization, macro fidelity."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from repro.fleet import (
     make_tenants,
     report_to_json,
 )
-from repro.fleet.macro import _decide_scalar, _decide_vector
 from repro.fleet.workload import workload_to_jsonl
 from repro.obs.audit import DecisionJournal
 
@@ -237,35 +235,9 @@ class TestMacroFidelity:
         with pytest.raises(ValueError):
             FleetCluster(tpch_tiny, make_policy("fifo"), fidelity="approximate")
 
-    def test_scalar_and_vector_decisions_bitwise_identical(self, tpch_tiny):
-        cluster = FleetCluster(
-            tpch_tiny, make_policy("suspend-aware"), fidelity="macro"
-        )
-        run_profile = cluster._macro_profile("Q9")
-        total = run_profile.pipeline_count
-        assert total >= 3
-        horizon = float(np.add.accumulate(run_profile.deltas)[-1])
-        cases = [
-            # (prefix, clock_start, window_end, deadline_active, request_at)
-            (0, 0.0, float("inf"), False, None),          # complete
-            (0, 0.0, horizon * 0.4, True, None),          # deadline suspend
-            (0, 0.0, horizon * 0.2, False, None),         # terminate
-            (1, 3.0, float("inf"), False, 0.5),           # request suspend
-            (1, 3.0, horizon, True, horizon * 0.3),       # mixed controllers
-        ]
-        for prefix, clock_start, window_end, deadline_active, request_at in cases:
-            offset = int(run_profile.pipe_start[prefix])
-            grid = np.add.accumulate(
-                np.concatenate(([clock_start], run_profile.deltas[offset:]))
-            )
-            results = []
-            for decide in (_decide_scalar, _decide_vector):
-                durations = [1.0, 2.5]
-                outcome = decide(
-                    run_profile, prefix, durations, grid, offset,
-                    window_end, deadline_active, request_at,
-                )
-                results.append((outcome, durations))
-            scalar, vector = results
-            assert scalar[0] == vector[0]
-            assert scalar[1] == vector[1]
+    def test_policy_without_an_order_rejected(self, tpch_tiny):
+        """A policy declares ``order_key`` or ``fair_share``; nothing else is served."""
+        from repro.fleet import SchedulingPolicy
+
+        with pytest.raises(ValueError, match="neither"):
+            FleetCluster(tpch_tiny, SchedulingPolicy())

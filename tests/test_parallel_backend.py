@@ -22,12 +22,9 @@ from repro.engine.backend import (
     resolve_backend,
 )
 from repro.engine.clock import SimulatedClock
+from repro.engine.config import ExecutionConfig
 from repro.engine.errors import EngineError, QuerySuspended
-from repro.engine.executor import (
-    DEFAULT_MORSEL_SIZE,
-    QueryExecutor,
-    resolve_morsel_size,
-)
+from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.suspend import ProcessLevelStrategy
 from repro.tpch import QUERY_NAMES, build_query
@@ -154,26 +151,13 @@ def test_resume_rejects_mismatched_morsel_size(tpch_tiny, tmp_path):
 
 class TestMorselSizeConfig:
     def test_default(self):
-        assert resolve_morsel_size(None) == DEFAULT_MORSEL_SIZE
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("RIVETER_MORSEL_SIZE", "4096")
-        assert resolve_morsel_size(512) == 512
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv("RIVETER_MORSEL_SIZE", "4096")
-        assert resolve_morsel_size(None) == 4096
-
-    def test_rejects_garbage_env(self, monkeypatch):
-        monkeypatch.setenv("RIVETER_MORSEL_SIZE", "lots")
-        with pytest.raises(EngineError):
-            resolve_morsel_size(None)
+        assert ExecutionConfig.of(morsel_size=None).morsel_size == 16384
 
     def test_rejects_non_positive(self):
         with pytest.raises(EngineError):
-            resolve_morsel_size(0)
+            ExecutionConfig(morsel_size=0)
         with pytest.raises(EngineError):
-            resolve_morsel_size(-5)
+            ExecutionConfig(morsel_size=-5)
 
     @pytest.mark.parametrize("query", ["Q3", "Q6"])
     def test_morsel_size_invisible_in_results(self, tpch_tiny, query):

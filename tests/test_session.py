@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.__main__ import _execute
+from repro.__main__ import _execute, _execution_config
 from repro.cloud.availability import AvailabilityTrace, IntermittentRunner
 from repro.cloud.environment import PriceTrace
 from repro.cloud.pricing import PriceAwareRunner
@@ -28,6 +28,7 @@ from repro.engine.controller import Action, ExecutionController
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.fleet import FleetCluster, fleet_report, make_policy, make_tenants, generate_workload
+from repro.optimizer import OptimizerFlags
 from repro.suspend import (
     CompositeController,
     PipelineLevelStrategy,
@@ -209,7 +210,10 @@ def _cli(catalog, plan, normal, directory):
         suspend_at=0.4, strategy="pipeline", codec="raw", incremental=False,
         snapshot_dir=str(directory), backend=None, kernels=None, morsel_size=MORSEL,
     )
-    result = _execute(catalog, plan, "Q9", HardwareProfile(), args, None, None, verbose=False)
+    config = _execution_config(args, OptimizerFlags())
+    result = _execute(
+        catalog, plan, "Q9", HardwareProfile(), args, config, None, None, verbose=False
+    )
     return result, len(list(Path(directory).glob("Q9.*")))
 
 

@@ -10,6 +10,7 @@ import pytest
 from repro.engine.clock import WallClock
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
+from repro.obs.handle import Obs
 from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy
 from repro.engine.errors import QuerySuspended
 from repro.tpch import build_query
@@ -47,7 +48,7 @@ def test_bench_pipeline_snapshot_round_trip(benchmark, catalog, tmp_path, obs_re
     profile = HardwareProfile()
     plan = build_query("Q9")
     normal = QueryExecutor(catalog, plan, query_name="Q9").run()
-    strategy = PipelineLevelStrategy(profile, metrics=obs_registry)
+    strategy = PipelineLevelStrategy(profile, obs=Obs(metrics=obs_registry))
 
     def suspend_persist_resume():
         controller = strategy.make_request_controller(normal.stats.duration * 0.5)
@@ -72,7 +73,7 @@ def test_bench_process_image_round_trip(benchmark, catalog, tmp_path, obs_regist
     profile = HardwareProfile()
     plan = build_query("Q3")
     normal = QueryExecutor(catalog, plan, query_name="Q3").run()
-    strategy = ProcessLevelStrategy(profile, metrics=obs_registry)
+    strategy = ProcessLevelStrategy(profile, obs=Obs(metrics=obs_registry))
 
     def dump_restore():
         controller = strategy.make_request_controller(normal.stats.duration * 0.5)

@@ -46,6 +46,7 @@ from repro.fleet import (
     record_fleet_timeline,
 )
 from repro.harness.bench import bench_payload, median_overhead_ratio, write_bench
+from repro.obs.handle import Obs
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import Tracer
 from repro.seeding import derive_seed
@@ -126,7 +127,7 @@ def timeline_overhead(catalog, arrivals, params: dict) -> dict:
     def run_once(instrumented: bool):
         tracer = Tracer() if instrumented else None
         recorder = TimelineRecorder() if instrumented else None
-        slo = SLOMonitor(tracer=tracer, recorder=recorder) if instrumented else None
+        obs = Obs(tracer=tracer, recorder=recorder)
         cluster = FleetCluster(
             catalog,
             make_policy("suspend-aware"),
@@ -135,9 +136,8 @@ def timeline_overhead(catalog, arrivals, params: dict) -> dict:
             admission=AdmissionController(max_queue_depth=int(params["queue_depth"])),
             mean_on_seconds=float(params["mean_on"]),
             mean_off_seconds=float(params["mean_off"]),
-            tracer=tracer,
-            recorder=recorder,
-            slo=slo,
+            obs=obs,
+            slo=SLOMonitor(obs=obs) if instrumented else None,
         )
         start = time.perf_counter()
         result = cluster.run(arrivals, duration)

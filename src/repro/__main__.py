@@ -54,8 +54,7 @@ from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.kernels import KERNEL_NAMES
 from repro.engine.profile import HardwareProfile
 from repro.harness.report import format_table
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.storage.codec import CODEC_NAMES
 from repro.suspend import QuerySession, make_strategy
 from repro.tpch import QUERY_NAMES, build_query, generate_catalog
@@ -138,6 +137,94 @@ def _execution_config(args: argparse.Namespace, flags) -> ExecutionConfig:
         raise _UsageError(str(error)) from None
 
 
+def _observability(args: argparse.Namespace) -> Obs:
+    """The command's one handle: exactly the sinks its output flags need.
+
+    Sinks are pay-for-what-you-ask: none of them feeds a result or a
+    report, so a bare run (a 100k-arrival fleet, say) skips the bookkeeping.
+    """
+    from repro.obs.audit import DecisionJournal
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import QueryProfiler
+    from repro.obs.timeline import TimelineRecorder
+    from repro.obs.trace import Tracer
+
+    def wants(*flags: str) -> bool:
+        return any(getattr(args, flag, None) for flag in flags)
+
+    command = args.command
+    # A query's timeline header discloses the tracer's dropped-event count;
+    # a fleet timeline does without a tracer (and its 100k-event buffer).
+    tracing = {
+        "query": wants("analyze", "trace_out", "timeline_out"),
+        "trace": True,
+        "profile": wants("chrome"),
+        "fleet": wants("trace_out"),
+    }.get(command, False)
+    metered = tracing or command == "profile" or wants("timeline_out")
+    metrics = MetricsRegistry() if metered else None
+    return Obs(
+        tracer=Tracer(metrics=metrics) if tracing else None,
+        metrics=metrics,
+        journal=DecisionJournal() if command == "why" or wants("journal_out") else None,
+        recorder=TimelineRecorder() if wants("timeline_out") else None,
+        profiler=QueryProfiler() if command == "profile" or wants("profile_out") else None,
+    )
+
+
+#: command → its output flags in announcement order, each naming the
+#: artifact it writes (``trace --out`` is the Chrome trace, ``profile
+#: --out`` the profile envelope).
+_OUTPUT_FLAGS = {
+    "query": {"trace_out": "chrome", "timeline_out": "timeline", "profile_out": "profile"},
+    "trace": {"out": "chrome", "jsonl": "jsonl", "profile_out": "profile", "prom": "prom"},
+    "why": {"journal_out": "journal"},
+    "profile": {"out": "envelope", "stacks": "stacks", "chrome": "lanes"},
+    "fleet": {"journal_out": "journal", "timeline_out": "timeline", "trace_out": "chrome"},
+}
+
+
+def _write_artifacts(obs: Obs, args: argparse.Namespace) -> None:
+    """Write every artifact the command's output flags name, announcing each."""
+    from repro.obs.export import write_chrome_trace, write_jsonl
+    from repro.obs.profile import write_collapsed_stacks, write_profile
+
+    command = args.command
+    # Side outputs of `fleet` go to stderr so `--json > report.json` stays
+    # canonical; `why` prints its audit instead of announcing the journal.
+    stream = sys.stderr if command == "fleet" else sys.stdout
+    for flag, artifact in _OUTPUT_FLAGS[command].items():
+        path = getattr(args, flag)
+        if not path:
+            continue
+        if artifact in ("chrome", "lanes"):
+            lanes = obs.profiler if artifact == "lanes" else None
+            count = write_chrome_trace(obs.tracer, path, timeline=obs.recorder, profile=lanes)
+            what = f"{count} trace event(s)" + (" (virtual + wall worker lanes)" if lanes else "")
+        elif artifact == "jsonl":
+            write_jsonl(obs.tracer, path)
+            what = "JSONL export"
+        elif artifact == "timeline":
+            dropped = obs.tracer.dropped if obs.tracing else 0
+            what = f"{obs.recorder.write(path, dropped_events=dropped)} timeline record(s)"
+        elif artifact == "journal":
+            obs.journal.write_jsonl(path)
+            if command == "why":
+                continue
+            what = f"{len(obs.journal.records)} journal record(s)"
+        elif artifact == "stacks":
+            what = f"{write_collapsed_stacks(obs.profiler, path)} collapsed stack line(s)"
+        elif artifact == "prom":
+            with open(path, "w") as out:
+                out.write(obs.metrics.to_prometheus())
+            what = "Prometheus exposition"
+        else:
+            write_profile(obs.profiler, path)
+            what = "wall-clock profile" if artifact == "profile" else "riveter-profile/1 envelope"
+        lead = "\n" if command == "query" or artifact == "envelope" else ""
+        print(f"{lead}wrote {what} to {path}", file=stream)
+
+
 def _execute(
     catalog,
     plan,
@@ -145,36 +232,28 @@ def _execute(
     profile: HardwareProfile,
     args: argparse.Namespace,
     config: ExecutionConfig,
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
+    obs: Obs,
     verbose: bool = True,
-    recorder=None,
-    profiler=None,
 ) -> QueryResult:
     """Run the query, optionally suspending and resuming it midway.
 
-    When a tracer is supplied and ``--suspend-at`` is used, the resumed
-    executor's clock starts at ``suspended_at + persist + reload`` so the
-    exported trace shows one contiguous busy timeline.
+    Under ``--suspend-at`` the resumed executor's clock starts at
+    ``suspended_at + persist + reload`` so an exported trace shows one
+    contiguous busy timeline.
 
-    *config* reaches the measuring, suspended and resumed executors alike.
-
-    *profiler* (a :class:`~repro.obs.profile.QueryProfiler`) attaches
-    wall-clock profiling to the measured run — and, under
-    ``--suspend-at``, to both the suspended and resumed executors, so the
-    envelope covers the whole interrupted execution.  The untraced
-    measuring run stays unprofiled: it only calibrates the suspension
-    point.
+    *config* reaches the measuring, suspended and resumed executors alike;
+    so does *obs*, except that the measuring run stays unobserved (and
+    unprofiled): it only calibrates the suspension point.  With a timeline
+    recorder in *obs* the run also grows a lifecycle span tree (a tracer
+    alone keeps the flat single-query trace).
     """
     if args.suspend_at is None:
         result = QueryExecutor(
-            catalog, plan, profile=profile, query_name=label, tracer=tracer,
-            metrics=metrics, profiler=profiler, config=config,
+            catalog, plan, profile=profile, query_name=label, obs=obs, config=config
         ).run()
-        if recorder is not None:
-            _record_query_lifecycle(
-                recorder, tracer, label, result.stats.finished_at, suspended=False
-            )
+        _finish_query_lifecycle(
+            obs, _open_query_lifecycle(obs, label), 0.0, result.stats.finished_at
+        )
         if verbose:
             _print_chunk(result.chunk)
             print(f"\n{result.chunk.num_rows} row(s); simulated time {result.stats.duration:.2f}s")
@@ -184,16 +263,9 @@ def _execute(
     normal = QueryExecutor(
         catalog, plan, profile=profile, query_name=label, config=config
     ).run()
-    strategy = make_strategy(
-        args.strategy, profile, tracer=tracer, metrics=metrics, config=config
-    )
-    lifecycle = None
-    if recorder is not None:
-        from repro.obs.timeline import QueryLifecycle
-
-        lifecycle = QueryLifecycle(
-            label, 0.0, tracer, recorder, category="cloud", strategy=strategy.name
-        )
+    lifecycle = _open_query_lifecycle(obs, label, strategy=args.strategy)
+    obs = obs.bound(lifecycle)
+    strategy = make_strategy(args.strategy, profile, obs=obs, config=config)
     directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-cli-")
     store = None
     if args.incremental:
@@ -208,10 +280,7 @@ def _execute(
         profile,
         strategy=strategy,
         store=store,
-        lifecycle=lifecycle,
-        tracer=tracer,
-        metrics=metrics,
-        profiler=profiler,
+        obs=obs,
         config=config,
     )
     piece = session.run_slice(
@@ -219,10 +288,7 @@ def _execute(
     )
     if piece.kind == "complete":
         result = piece.result
-        if lifecycle is not None:
-            lifecycle.span("run", 0.0, result.stats.finished_at)
-            lifecycle.finish(result.stats.finished_at, suspended=False)
-            _record_query_completion(recorder, lifecycle, label, result.stats.finished_at, False)
+        _finish_query_lifecycle(obs, lifecycle, 0.0, result.stats.finished_at)
         if verbose:
             print("query finished before the suspension point; results:")
             _print_chunk(result.chunk)
@@ -249,14 +315,10 @@ def _execute(
         )
     resume_start = outcome.suspended_at + outcome.persist_latency + session.reload()
     final = session.run_slice(clock=SimulatedClock(resume_start)).result
-    if lifecycle is not None:
-        lifecycle.span("run:resumed", resume_start, final.stats.finished_at)
-        lifecycle.finish(
-            final.stats.finished_at,
-            suspended=True,
-            persisted_bytes=outcome.intermediate_bytes,
-        )
-        _record_query_completion(recorder, lifecycle, label, final.stats.finished_at, True)
+    _finish_query_lifecycle(
+        obs, lifecycle, resume_start, final.stats.finished_at,
+        suspended=True, persisted_bytes=outcome.intermediate_bytes,
+    )
     if verbose:
         print("resumed and finished; results:")
         _print_chunk(final.chunk)
@@ -271,8 +333,7 @@ def _execute_dist(
     profile: HardwareProfile,
     args: argparse.Namespace,
     config: ExecutionConfig,
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
+    obs: Obs,
     verbose: bool = True,
 ):
     """Run the optimized plan sharded; returns ``(DistResult, DistributedPlan)``.
@@ -298,8 +359,7 @@ def _execute_dist(
     coordinator = Coordinator(
         sharded,
         profile,
-        tracer=tracer,
-        metrics=metrics,
+        obs=obs,
         store=store,
         snapshot_dir=directory,
         config=config,
@@ -327,20 +387,21 @@ def _execute_dist(
     return result, dist
 
 
-def _record_query_lifecycle(recorder, tracer, label, finished_at, suspended) -> None:
-    """Lifecycle tree for an uninterrupted single-query run."""
-    from repro.obs.timeline import QueryLifecycle
-
-    lifecycle = QueryLifecycle(label, 0.0, tracer, recorder, category="cloud")
-    lifecycle.span("run", 0.0, finished_at)
-    lifecycle.finish(finished_at, suspended=suspended)
-    _record_query_completion(recorder, lifecycle, label, finished_at, suspended)
+def _open_query_lifecycle(obs: Obs, label: str, **root):
+    """A single-query span tree — under ``--timeline-out`` only: a tracer
+    alone keeps the flat single-query trace."""
+    return obs.open_lifecycle(label, 0.0, category="cloud", **root) if obs.recording else None
 
 
-def _record_query_completion(recorder, lifecycle, label, finished_at, suspended) -> None:
-    recorder.add_completion(
+def _finish_query_lifecycle(obs, lifecycle, start, finished_at, suspended=False, **root) -> None:
+    """Close a single-query tree: its last run span, root and completion."""
+    if lifecycle is None:
+        return
+    lifecycle.span("run:resumed" if suspended else "run", start, finished_at)
+    lifecycle.finish(finished_at, suspended=suspended, **root)
+    obs.recorder.add_completion(
         {
-            "name": label,
+            "name": lifecycle.query,
             "arrival_time": 0.0,
             "finished_at": finished_at,
             "latency": finished_at,
@@ -393,13 +454,8 @@ def cmd_query(args: argparse.Namespace) -> int:
                 )
                 print(explain_plan(spec.exchange))
             return 0
-        tracer = metrics = None
-        if args.analyze or args.trace_out:
-            metrics = MetricsRegistry()
-            tracer = Tracer(metrics=metrics)
-        result, dist = _execute_dist(
-            catalog, optimized, label, profile, args, config, tracer, metrics
-        )
+        obs = _observability(args)
+        result, dist = _execute_dist(catalog, optimized, label, profile, args, config, obs)
         if args.analyze:
             from repro.engine.explain import explain_analyze
             from repro.harness.report import format_shard_fragments
@@ -408,13 +464,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(format_shard_fragments(result.fragments))
             print("\n== upper (coordinator) plan ==")
             print(
-                explain_analyze(catalog, dist.upper, result.upper_result.stats, tracer)
+                explain_analyze(catalog, dist.upper, result.upper_result.stats, obs.tracer)
             )
-        if args.trace_out:
-            from repro.obs.export import write_chrome_trace
-
-            count = write_chrome_trace(tracer, args.trace_out)
-            print(f"\nwrote {count} trace event(s) to {args.trace_out}")
+        _write_artifacts(obs, args)
         return 0
 
     if args.explain:
@@ -427,43 +479,16 @@ def cmd_query(args: argparse.Namespace) -> int:
                 print(f"  {app}")
         return 0
 
-    tracer = metrics = recorder = profiler = None
-    if args.analyze or args.trace_out or args.timeline_out:
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics)
-    if args.timeline_out:
-        from repro.obs.timeline import TimelineRecorder
-
-        recorder = TimelineRecorder()
-        recorder.set_meta(command="query", query=label, scale=args.scale, seed=args.seed)
-    if args.profile_out:
-        from repro.obs.profile import QueryProfiler
-
-        profiler = QueryProfiler()
-
-    result = _execute(
-        catalog, optimized.plan, label, profile, args, config, tracer, metrics,
-        verbose=True, recorder=recorder, profiler=profiler,
-    )
-
+    obs = _observability(args)
+    if obs.recording:
+        obs.recorder.set_meta(command="query", query=label, scale=args.scale, seed=args.seed)
+    result = _execute(catalog, optimized.plan, label, profile, args, config, obs)
     if args.analyze:
         from repro.engine.explain import explain_analyze
 
         print()
-        print(explain_analyze(catalog, optimized.plan, result.stats, tracer))
-    if args.trace_out:
-        from repro.obs.export import write_chrome_trace
-
-        count = write_chrome_trace(tracer, args.trace_out, timeline=recorder)
-        print(f"\nwrote {count} trace event(s) to {args.trace_out}")
-    if args.timeline_out:
-        count = recorder.write(args.timeline_out, dropped_events=tracer.dropped)
-        print(f"\nwrote {count} timeline record(s) to {args.timeline_out}")
-    if args.profile_out:
-        from repro.obs.profile import write_profile
-
-        write_profile(profiler, args.profile_out)
-        print(f"\nwrote wall-clock profile to {args.profile_out}")
+        print(explain_analyze(catalog, optimized.plan, result.stats, obs.tracer))
+    _write_artifacts(obs, args)
     return 0
 
 
@@ -475,46 +500,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(label, file=sys.stderr)
         return 2
 
-    from repro.obs.export import text_summary, write_chrome_trace, write_jsonl
+    from repro.obs.export import text_summary
 
     optimized = _optimize(catalog, plan, label, args)
     config = _execution_config(args, optimized.flags)
-    metrics = MetricsRegistry()
-    tracer = Tracer(metrics=metrics)
-    profiler = None
-    if args.profile_out:
-        if args.shards > 1:
-            print("--profile-out is not supported with --shards > 1", file=sys.stderr)
-            return 2
-        from repro.obs.profile import QueryProfiler
-
-        profiler = QueryProfiler()
+    if args.profile_out and args.shards > 1:
+        print("--profile-out is not supported with --shards > 1", file=sys.stderr)
+        return 2
+    obs = _observability(args)
     if args.shards > 1:
-        _execute_dist(
-            catalog, optimized, label, profile, args, config, tracer, metrics,
-            verbose=False,
-        )
+        _execute_dist(catalog, optimized, label, profile, args, config, obs, verbose=False)
     else:
-        _execute(
-            catalog, optimized.plan, label, profile, args, config, tracer, metrics,
-            verbose=False, profiler=profiler,
-        )
-    count = write_chrome_trace(tracer, args.out)
-    print(f"wrote {count} trace event(s) to {args.out}")
-    if args.jsonl:
-        write_jsonl(tracer, args.jsonl)
-        print(f"wrote JSONL export to {args.jsonl}")
-    if args.profile_out:
-        from repro.obs.profile import write_profile
-
-        write_profile(profiler, args.profile_out)
-        print(f"wrote wall-clock profile to {args.profile_out}")
-    if args.prom:
-        with open(args.prom, "w") as stream:
-            stream.write(metrics.to_prometheus())
-        print(f"wrote Prometheus exposition to {args.prom}")
+        _execute(catalog, optimized.plan, label, profile, args, config, obs, verbose=False)
+    _write_artifacts(obs, args)
     print()
-    print(text_summary(tracer, metrics))
+    print(text_summary(obs.tracer, obs.metrics))
     print(f"\nopen {args.out} in https://ui.perfetto.dev or chrome://tracing")
     return 0
 
@@ -539,7 +539,7 @@ def cmd_why(args: argparse.Namespace) -> int:
     from repro.costmodel.selector import AdaptiveStrategySelector
     from repro.costmodel.termination import TerminationProfile
     from repro.harness.report import estimator_accuracy
-    from repro.obs.audit import DecisionJournal, ReplayMismatch, replay_journal
+    from repro.obs.audit import ReplayMismatch, replay_journal
     from repro.suspend.store import SnapshotStore
 
     if args.name not in QUERY_NAMES:
@@ -547,7 +547,8 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 2
     catalog = _make_catalog(args.scale, args.seed)
     profile = HardwareProfile()
-    journal = DecisionJournal()
+    obs = _observability(args)
+    journal = obs.journal
     optimized = _optimize(catalog, build_query(args.name), args.name, args, journal=journal)
     config = _execution_config(args, optimized.flags)
     directory = args.snapshot_dir or tempfile.mkdtemp(prefix="riveter-why-")
@@ -565,8 +566,7 @@ def cmd_why(args: argparse.Namespace) -> int:
             journal=journal, query_name=args.name,
         )
         coordinator = Coordinator(
-            sharded, profile, journal=journal, store=store, snapshot_dir=directory,
-            config=config,
+            sharded, profile, obs=obs, store=store, snapshot_dir=directory, config=config
         )
         victim = coordinator.pick_victim(ShardSuspension())
         victim_xid = coordinator.victim_exchange(dist, victim)
@@ -600,7 +600,7 @@ def cmd_why(args: argparse.Namespace) -> int:
                 fragment, fraction
             ),
             estimated_total_time=normal_time,
-            journal=journal,
+            obs=obs,
             estimator_label="optimizer",
         )
 
@@ -614,8 +614,7 @@ def cmd_why(args: argparse.Namespace) -> int:
         outcome = result.victim_outcome
     else:
         runner = QueryRunner(
-            catalog, profile, snapshot_dir=directory, journal=journal, store=store,
-            config=config,
+            catalog, profile, snapshot_dir=directory, obs=obs, store=store, config=config
         )
         outcome = runner.run_adaptive(
             plan, label, selector_factory(runner, plan, label, normal), normal, event.at_time
@@ -639,8 +638,7 @@ def cmd_why(args: argparse.Namespace) -> int:
             intermediate_bytes=forced.intermediate_bytes,
         )
     store.save_journal(args.name, journal)
-    if args.journal_out:
-        journal.write_jsonl(args.journal_out)
+    _write_artifacts(obs, args)
 
     accuracy = estimator_accuracy(journal)
     if args.json:
@@ -795,7 +793,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.obs.dashboard import render_profile
-    from repro.obs.profile import QueryProfiler, write_collapsed_stacks, write_profile
 
     if args.name not in QUERY_NAMES:
         print(f"unknown query {args.name}; expected one of {QUERY_NAMES}", file=sys.stderr)
@@ -805,33 +802,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     optimized = _optimize(catalog, build_query(args.name), args.name, args)
     config = _execution_config(args, optimized.flags)
 
-    metrics = MetricsRegistry()
-    tracer = Tracer(metrics=metrics) if args.chrome else None
-    profiler = QueryProfiler()
-    _execute(
-        catalog, optimized.plan, args.name, profile, args, config, tracer, metrics,
-        verbose=False, profiler=profiler,
-    )
-    payload = profiler.to_json()
+    obs = _observability(args)
+    _execute(catalog, optimized.plan, args.name, profile, args, config, obs, verbose=False)
+    payload = obs.profiler.to_json()
 
     if args.json:
         print(json_mod.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_profile(payload, top=args.top))
-    if args.out:
-        write_profile(payload, args.out)
-        print(f"\nwrote riveter-profile/1 envelope to {args.out}")
-    if args.stacks:
-        count = write_collapsed_stacks(profiler, args.stacks)
-        print(f"wrote {count} collapsed stack line(s) to {args.stacks}")
-    if args.chrome:
-        from repro.obs.export import write_chrome_trace
-
-        count = write_chrome_trace(tracer, args.chrome, profile=profiler)
-        print(
-            f"wrote {count} trace event(s) (virtual + wall worker lanes) "
-            f"to {args.chrome}"
-        )
+    _write_artifacts(obs, args)
     return 0
 
 
@@ -850,9 +829,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         report_to_json,
         workload_to_jsonl,
     )
-    from repro.obs.audit import DecisionJournal
-    from repro.obs.metrics import MetricsRegistry as Registry
-    from repro.obs.timeline import TimelineRecorder
 
     catalog = _make_catalog(args.scale, args.seed)
     tenants = make_tenants(args.tenants, args.seed)
@@ -863,22 +839,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             stream.write(workload_to_jsonl(arrivals))
         print(f"wrote {len(arrivals)} arrival(s) to {args.arrivals_out}",
               file=sys.stderr)
-    # Observability sinks are pay-for-what-you-ask: none of them feed the
-    # report, so a bare run at 100k+ arrivals skips the bookkeeping.
-    wants_obs = bool(args.trace_out or args.timeline_out)
-    metrics = Registry() if wants_obs else None
-    tracer = Tracer(metrics=metrics) if args.trace_out else None
-    recorder = TimelineRecorder() if args.timeline_out else None
-    journal = DecisionJournal() if args.journal_out else None
-    slo = SLOMonitor(tracer=tracer, journal=journal, metrics=metrics, recorder=recorder)
+    obs = _observability(args)
     queue_depth = (
         args.queue_depth if args.queue_depth is not None else max(16, 2 * args.workers)
     )
     admission = AdmissionController(
         max_queue_depth=queue_depth,
         memory_budget_bytes=args.memory_budget,
-        journal=journal,
-        metrics=metrics,
+        obs=obs,
     )
     cluster = FleetCluster(
         catalog,
@@ -889,31 +857,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         snapshot_dir=args.snapshot_dir,
         mean_on_seconds=args.mean_on,
         mean_off_seconds=args.mean_off,
-        tracer=tracer,
-        metrics=metrics,
-        journal=journal,
-        recorder=recorder,
-        slo=slo,
+        obs=obs,
+        slo=SLOMonitor(obs=obs),
         fidelity=args.fidelity,
     )
     result = cluster.run(arrivals, args.duration)
     report = fleet_report(result)
-    if args.journal_out:
-        journal.write_jsonl(args.journal_out)
-        print(f"wrote {len(journal.records)} journal record(s) to {args.journal_out}",
-              file=sys.stderr)
-    if args.timeline_out:
-        record_fleet_timeline(recorder, result)
-        count = recorder.write(
-            args.timeline_out, dropped_events=tracer.dropped if tracer else 0
-        )
-        print(f"wrote {count} timeline record(s) to {args.timeline_out}",
-              file=sys.stderr)
-    if args.trace_out:
-        from repro.obs.export import write_chrome_trace
-
-        count = write_chrome_trace(tracer, args.trace_out, timeline=recorder)
-        print(f"wrote {count} trace event(s) to {args.trace_out}", file=sys.stderr)
+    if obs.recording:
+        record_fleet_timeline(obs.recorder, result)
+    _write_artifacts(obs, args)
     if args.json:
         sys.stdout.write(report_to_json(report))
     else:

@@ -18,6 +18,7 @@ matches the paper's overhead metric.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,10 +29,8 @@ from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.executor import QueryResult
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
-from repro.obs.audit import DecisionJournal, resolve_adaptive_action
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import QueryLifecycle, TimelineRecorder
-from repro.obs.trace import Tracer
+from repro.obs.audit import resolve_adaptive_action
+from repro.obs.handle import Obs
 from repro.suspend.controller import CompositeController, TerminationController
 from repro.suspend.session import QuerySession, make_strategy
 from repro.suspend.store import SnapshotStore
@@ -106,17 +105,15 @@ class AdaptiveController(ExecutionController):
         # chosen strategy maps to an executor action, so `repro why --replay`
         # re-derives the exact same behaviour from the journaled decision.
         resolved = resolve_adaptive_action(decision.chosen, at_breaker, now, planned)
-        journal = self.selector.journal
-        if journal is not None:
-            journal.append(
-                "action",
-                context.executor.query_name,
-                now,
-                decision_seq=decision.audit_seq,
-                at_breaker=at_breaker,
-                planned_suspension_time=planned,
-                action=resolved,
-            )
+        self.selector.obs.audit(
+            "action",
+            context.executor.query_name,
+            now,
+            decision_seq=decision.audit_seq,
+            at_breaker=at_breaker,
+            planned_suspension_time=planned,
+            action=resolved,
+        )
         if resolved == "suspend_pipeline":
             self.suspended_at = now
             return Action.SUSPEND_PIPELINE
@@ -175,11 +172,9 @@ class QueryRunner:
         catalog: Catalog,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-snapshots",
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        journal: DecisionJournal | None = None,
+        *,
+        obs: Obs | None = None,
         store: "SnapshotStore | None" = None,
-        recorder: TimelineRecorder | None = None,
         exchange_inputs: dict | None = None,
         config: ExecutionConfig | None = None,
         **options,
@@ -190,15 +185,13 @@ class QueryRunner:
         #: The forced, adaptive, and resumed runs all share one execution
         #: configuration so snapshots stay compatible.
         self.config = ExecutionConfig.of(config, **options)
-        self.tracer = tracer
-        self.metrics = metrics
-        #: optional timeline sink; when set (or a tracer is attached) each
-        #: run builds a causal lifecycle tree on the busy timeline
-        self.recorder = recorder
-        self._lifecycle: QueryLifecycle | None = None
-        #: Decision audit journal shared with the selector (adaptive runs);
-        #: the runner adds lifecycle records (suspend/resume/outcome/...).
-        self.journal = journal
+        #: Where every session, executor and strategy this runner builds
+        #: reports.  With a tracer or recorder each run grows a causal
+        #: lifecycle tree on the busy timeline; to the journal (shared with
+        #: the selector in adaptive runs) the runner adds the lifecycle
+        #: records (suspend/resume/outcome/...).
+        self.obs = Obs.of(obs)
+        self._runs = itertools.count()
         #: Optional durable home for snapshots *and* the journal, so a
         #: resumed query keeps its full decision history.
         self.store = store
@@ -208,34 +201,28 @@ class QueryRunner:
         self.exchange_inputs = exchange_inputs
 
     # -- lifecycle ------------------------------------------------------------
-    def _begin_lifecycle(self, query_name: str, strategy_name: str) -> QueryLifecycle | None:
-        """Open a causal span tree for the run about to start (or None).
+    def _open(self, query_name: str, strategy_name: str) -> Obs:
+        """The handle of the run about to start, bound to its causal span tree.
 
         Roots are on the *busy* timeline (virtual zero at query start).
         The trace label carries a per-runner sequence number so a sweep
         that runs the same query repeatedly still yields unique,
-        deterministic trace ids.
+        deterministic trace ids.  Unobserved, this is ``self.obs``.
         """
-        if self.tracer is None and self.recorder is None:
-            self._lifecycle = None
-            return None
-        seq = getattr(self, "_lifecycle_seq", 0)
-        self._lifecycle_seq = seq + 1
-        self._lifecycle = QueryLifecycle(
-            query_name,
-            0.0,
-            tracer=self.tracer,
-            recorder=self.recorder,
-            category="cloud",
-            trace_label=f"{query_name}@{seq}",
-            strategy=strategy_name,
+        return self.obs.bound(
+            self.obs.open_lifecycle(
+                query_name,
+                0.0,
+                category="cloud",
+                trace_label=f"{query_name}@{next(self._runs)}",
+                strategy=strategy_name,
+            )
         )
-        return self._lifecycle
 
     # -- baselines -----------------------------------------------------------
     def measure_normal(self, plan: PlanNode, query_name: str) -> QueryResult:
         """Run without any threat; the paper's "normal execution time"."""
-        return self._session(plan, query_name, None).run_slice().result
+        return self._session(plan, query_name, self.obs, None).run_slice().result
 
     # -- forced strategy -------------------------------------------------------
     def run_forced(
@@ -252,7 +239,8 @@ class QueryRunner:
         ``termination_time`` is the sampled kill time (``None`` when the
         probabilistic termination does not occur).
         """
-        strategy = self._strategy(strategy_name)
+        obs = self._open(query_name, strategy_name)
+        strategy = make_strategy(strategy_name, self.profile, obs=obs, config=self.config)
         controllers: list[ExecutionController] = [TerminationController(termination_time)]
         request = strategy.make_request_controller(request_time)
         if request is not None:
@@ -260,6 +248,7 @@ class QueryRunner:
         return self._drive(
             plan,
             RunOutcome(query_name, strategy_name, normal_time, 0.0, termination_time=termination_time),
+            obs,
             strategy,
             [CompositeController(controllers)],
         )
@@ -278,6 +267,7 @@ class QueryRunner:
         return self._drive(
             plan,
             RunOutcome(query_name, "adaptive", normal_time, 0.0, termination_time=termination_time),
+            self._open(query_name, "adaptive"),
             None,
             [CompositeController([TerminationController(termination_time), adaptive])],
             adaptive,
@@ -298,22 +288,19 @@ class QueryRunner:
         latency grows roughly linearly with the number of suspensions
         (the proportionality the paper notes in §VI).
         """
-        strategy = self._strategy(strategy_name)
+        obs = self._open(query_name, strategy_name)
+        strategy = make_strategy(strategy_name, self.profile, obs=obs, config=self.config)
         return self._drive(
             plan,
             RunOutcome(query_name, strategy_name, normal_time, 0.0),
+            obs,
             strategy,
             [strategy.make_request_controller(at) for at in request_times],
         )
 
     # -- internals -------------------------------------------------------------
-    def _strategy(self, name: str) -> SuspensionStrategy:
-        return make_strategy(
-            name, self.profile, tracer=self.tracer, metrics=self.metrics, config=self.config
-        )
-
     def _session(
-        self, plan: PlanNode, query_name: str, strategy: SuspensionStrategy | None
+        self, plan: PlanNode, query_name: str, obs: Obs, strategy: SuspensionStrategy | None
     ) -> QuerySession:
         return QuerySession(
             self.catalog,
@@ -323,17 +310,21 @@ class QueryRunner:
             self.profile,
             strategy=strategy,
             store=self.store,
-            lifecycle=self._lifecycle,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            obs=obs,
             exchange_inputs=self.exchange_inputs,
             config=self.config,
         )
+
+    def _save_journal(self, query_name: str) -> None:
+        """Persist the journal next to the snapshots (when both exist)."""
+        if self.store is not None and self.obs.journal is not None:
+            self.store.save_journal(query_name, self.obs.journal)
 
     def _drive(
         self,
         plan: PlanNode,
         outcome: RunOutcome,
+        obs: Obs,
         strategy: SuspensionStrategy | None,
         controllers: list[ExecutionController | None],
         adaptive: AdaptiveController | None = None,
@@ -344,11 +335,13 @@ class QueryRunner:
         ``persist end + reload + slice clock`` left to right.  The kill
         beats a snapshot whose persist finishes at or after it
         (``>=``): the suspension failed and the run restarts from
-        scratch, because the slice is never committed.
+        scratch, because the slice is never committed.  *obs* is this
+        run's handle (:meth:`_open`) and *strategy* was built with it: its
+        spans join the run's tree, and without a tree there is no tracer
+        for them to fall back to.
         """
         query_name = outcome.query_name
-        lifecycle = self._begin_lifecycle(query_name, outcome.strategy)
-        session = self._session(plan, query_name, strategy)
+        session = self._session(plan, query_name, obs, strategy)
         pending = list(controllers)
         while True:
             base = outcome.busy_time
@@ -358,22 +351,21 @@ class QueryRunner:
                 if adaptive.decision is not None:
                     outcome.strategy = adaptive.decision.chosen
                 if piece.kind != "terminate":
-                    self._record_estimator_error(adaptive.selector, outcome.normal_time)
+                    # How far off the total-time estimate Algorithm 1
+                    # worked from was.
+                    self.obs.observe(
+                        "estimator_error_seconds",
+                        abs(adaptive.selector.estimated_total_time - outcome.normal_time),
+                    )
                 adaptive = None
             if piece.kind == "terminate":
                 return self._rerun_after_termination(outcome, session, piece.killed_at)
             outcome.busy_time += piece.end
-            if lifecycle is not None:
-                lifecycle.span(
-                    "run:resumed" if outcome.suspended else "run", base, outcome.busy_time
-                )
+            obs.span("cloud", "run:resumed" if outcome.suspended else "run", base, outcome.busy_time)
             if piece.kind == "complete":
                 outcome.result = piece.result
-                return self._record_outcome(outcome)
-            if lifecycle is not None:
-                lifecycle.instant(
-                    "suspend", outcome.busy_time, category="suspend", strategy=outcome.strategy
-                )
+                return self._record_outcome(outcome, obs.lifecycle)
+            obs.instant("suspend", "suspend", outcome.busy_time, strategy=outcome.strategy)
             persisted = session.persist(piece)
             outcome.suspended = True
             outcome.suspended_at = persisted.suspended_at
@@ -381,16 +373,15 @@ class QueryRunner:
                 outcome.intermediate_bytes, persisted.intermediate_bytes
             )
             outcome.persist_latency += persisted.persist_latency
-            if self.journal is not None:
-                self.journal.append(
-                    "suspend",
-                    query_name,
-                    outcome.busy_time,
-                    strategy=outcome.strategy,
-                    intermediate_bytes=persisted.intermediate_bytes,
-                    persist_latency=persisted.persist_latency,
-                    codec=persisted.codec,
-                )
+            self.obs.audit(
+                "suspend",
+                query_name,
+                outcome.busy_time,
+                strategy=outcome.strategy,
+                intermediate_bytes=persisted.intermediate_bytes,
+                persist_latency=persisted.persist_latency,
+                codec=persisted.codec,
+            )
             outcome.busy_time += persisted.persist_latency
             termination_time = outcome.termination_time
             if termination_time is not None and outcome.busy_time >= termination_time:
@@ -398,71 +389,65 @@ class QueryRunner:
                 outcome.suspension_failed = True
                 return self._rerun_after_termination(outcome, session, termination_time)
             session.commit(piece)
-            if self.store is not None and self.journal is not None:
-                # Persist the journal *at the suspension point*: if the
-                # process goes away before resuming, the decision history
-                # survives with the snapshot.
-                self.store.save_journal(query_name, self.journal)
+            # Persist the journal *at the suspension point*: if the process
+            # goes away before resuming, the decision history survives with
+            # the snapshot.
+            self._save_journal(query_name)
             reload = session.reload()
             outcome.reload_latency += reload
             outcome.busy_time += reload
-            if self.journal is not None:
-                self.journal.append(
-                    "resume",
-                    query_name,
-                    outcome.busy_time,
-                    strategy=outcome.strategy,
-                    reload_latency=reload,
-                )
+            self.obs.audit(
+                "resume",
+                query_name,
+                outcome.busy_time,
+                strategy=outcome.strategy,
+                reload_latency=reload,
+            )
 
-    def _record_outcome(self, outcome: RunOutcome) -> RunOutcome:
+    def _record_outcome(self, outcome: RunOutcome, lifecycle) -> RunOutcome:
         """Roll the finished run into the trace/metrics (accumulated cost)."""
-        if self.journal is not None:
-            self.journal.append(
-                "outcome",
-                outcome.query_name,
-                outcome.busy_time,
-                strategy=outcome.strategy,
-                normal_time=outcome.normal_time,
-                busy_time=outcome.busy_time,
-                overhead=outcome.overhead,
-                completed=outcome.completed,
-                suspended=outcome.suspended,
-                suspension_failed=outcome.suspension_failed,
-                terminated=outcome.terminated,
-                termination_time=outcome.termination_time,
-                suspended_at=outcome.suspended_at,
-                intermediate_bytes=outcome.intermediate_bytes,
-                persist_latency=outcome.persist_latency,
-                reload_latency=outcome.reload_latency,
-            )
-            if self.store is not None:
-                self.store.save_journal(outcome.query_name, self.journal)
-        if self.metrics is not None:
-            metrics = self.metrics
-            metrics.counter("runs_total", strategy=outcome.strategy).inc()
-            metrics.counter("busy_seconds_total").inc(outcome.busy_time)
-            metrics.counter("overhead_seconds_total").inc(max(0.0, outcome.overhead))
-            if outcome.terminated:
-                metrics.counter("terminations_total").inc()
-            if outcome.suspension_failed:
-                metrics.counter("suspension_failures_total").inc()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "cloud",
-                f"run:{outcome.query_name}:{outcome.strategy}",
-                outcome.busy_time,
-                track="cloud",
-                strategy=outcome.strategy,
-                busy_time=outcome.busy_time,
-                overhead=outcome.overhead,
-                suspended=outcome.suspended,
-                terminated=outcome.terminated,
-                suspension_failed=outcome.suspension_failed,
-                intermediate_bytes=outcome.intermediate_bytes,
-            )
-        if self._lifecycle is not None:
-            self._lifecycle.finish(
+        obs = self.obs
+        obs.audit(
+            "outcome",
+            outcome.query_name,
+            outcome.busy_time,
+            strategy=outcome.strategy,
+            normal_time=outcome.normal_time,
+            busy_time=outcome.busy_time,
+            overhead=outcome.overhead,
+            completed=outcome.completed,
+            suspended=outcome.suspended,
+            suspension_failed=outcome.suspension_failed,
+            terminated=outcome.terminated,
+            termination_time=outcome.termination_time,
+            suspended_at=outcome.suspended_at,
+            intermediate_bytes=outcome.intermediate_bytes,
+            persist_latency=outcome.persist_latency,
+            reload_latency=outcome.reload_latency,
+        )
+        self._save_journal(outcome.query_name)
+        obs.count("runs_total", strategy=outcome.strategy)
+        obs.count("busy_seconds_total", outcome.busy_time)
+        obs.count("overhead_seconds_total", max(0.0, outcome.overhead))
+        if outcome.terminated:
+            obs.count("terminations_total")
+        if outcome.suspension_failed:
+            obs.count("suspension_failures_total")
+        obs.instant(
+            "cloud",
+            f"run:{outcome.query_name}:{outcome.strategy}",
+            outcome.busy_time,
+            track="cloud",
+            strategy=outcome.strategy,
+            busy_time=outcome.busy_time,
+            overhead=outcome.overhead,
+            suspended=outcome.suspended,
+            terminated=outcome.terminated,
+            suspension_failed=outcome.suspension_failed,
+            intermediate_bytes=outcome.intermediate_bytes,
+        )
+        if lifecycle is not None:
+            lifecycle.finish(
                 outcome.busy_time,
                 strategy=outcome.strategy,
                 normal_time=outcome.normal_time,
@@ -472,9 +457,8 @@ class QueryRunner:
                 suspension_failed=outcome.suspension_failed,
                 terminated=outcome.terminated,
             )
-            self._lifecycle = None
-        if self.recorder is not None:
-            self.recorder.add_completion(
+        if obs.recording:
+            obs.recorder.add_completion(
                 {
                     "name": outcome.query_name,
                     "strategy": outcome.strategy,
@@ -489,55 +473,39 @@ class QueryRunner:
             )
         return outcome
 
-    def _record_estimator_error(
-        self, selector: AdaptiveStrategySelector, normal_time: float
-    ) -> None:
-        """How far off the total-time estimate Algorithm 1 worked from was."""
-        if self.metrics is not None:
-            self.metrics.histogram("estimator_error_seconds").observe(
-                abs(selector.estimated_total_time - normal_time)
-            )
-
     def _rerun_after_termination(
         self, outcome: RunOutcome, session: QuerySession, killed_at: float
     ) -> RunOutcome:
         """Progress lost at *killed_at*; re-run from scratch, threat-free."""
         query_name = outcome.query_name
         outcome.terminated = True
-        if self.journal is not None:
-            self.journal.append(
-                "termination",
-                query_name,
-                killed_at,
-                strategy=outcome.strategy,
-                killed_at=killed_at,
-                suspension_failed=outcome.suspension_failed,
-            )
-        if self.tracer is not None:
-            self.tracer.instant(
-                "termination",
-                f"kill:{query_name}",
-                killed_at,
-                track="cloud",
-                strategy=outcome.strategy,
-                suspension_failed=outcome.suspension_failed,
-            )
-        lifecycle = self._lifecycle
-        if lifecycle is not None:
-            # The failed-suspension path already booked its run span up to
-            # the suspension point; a plain kill loses the whole stretch.
-            if not outcome.suspension_failed:
-                lifecycle.span("run", 0.0, killed_at, lost=True)
-            lifecycle.instant(
-                "termination",
-                killed_at,
-                category="termination",
-                suspension_failed=outcome.suspension_failed,
-            )
+        self.obs.audit(
+            "termination",
+            query_name,
+            killed_at,
+            strategy=outcome.strategy,
+            killed_at=killed_at,
+            suspension_failed=outcome.suspension_failed,
+        )
+        self.obs.instant(
+            "termination",
+            f"kill:{query_name}",
+            killed_at,
+            track="cloud",
+            strategy=outcome.strategy,
+            suspension_failed=outcome.suspension_failed,
+        )
+        obs = session.obs  # the run's handle: these join its tree
+        # The failed-suspension path already booked its run span up to the
+        # suspension point; a plain kill loses the whole stretch.
+        if not outcome.suspension_failed:
+            obs.span("cloud", "run", 0.0, killed_at, lost=True)
+        obs.instant(
+            "termination", "termination", killed_at, suspension_failed=outcome.suspension_failed
+        )
         # Nothing was committed, so the session starts over.
         piece = session.run_slice()
         outcome.busy_time = killed_at + piece.end
         outcome.result = piece.result
-        if lifecycle is not None:
-            lifecycle.span("rerun", killed_at, outcome.busy_time)
-        return self._record_outcome(outcome)
+        obs.span("cloud", "rerun", killed_at, outcome.busy_time)
+        return self._record_outcome(outcome, obs.lifecycle)

@@ -24,10 +24,7 @@ from repro.engine.clock import SimulatedClock
 from repro.engine.config import ExecutionConfig
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
-from repro.obs.audit import DecisionJournal
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import QueryLifecycle, TimelineRecorder
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.storage.catalog import Catalog
 from repro.suspend.session import QuerySession, make_strategy
 
@@ -95,10 +92,8 @@ class SuspensionScheduler:
         catalog: Catalog,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-scheduler",
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        journal: DecisionJournal | None = None,
-        recorder: TimelineRecorder | None = None,
+        *,
+        obs: Obs | None = None,
         config: ExecutionConfig | None = None,
         **options,
     ):
@@ -106,13 +101,8 @@ class SuspensionScheduler:
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
         self.config = ExecutionConfig.of(config, **options)
-        self.tracer = tracer
-        self.metrics = metrics
-        self.journal = journal
-        self.recorder = recorder
-        self.strategy = make_strategy(
-            "pipeline", self.profile, tracer=tracer, metrics=metrics, config=self.config
-        )
+        self.obs = Obs.of(obs)
+        self.strategy = make_strategy("pipeline", self.profile, obs=self.obs, config=self.config)
 
     # -- policies -------------------------------------------------------------
     def run_fifo(self, requests: list[QueryRequest]) -> ScheduleReport:
@@ -148,8 +138,7 @@ class SuspensionScheduler:
             self.snapshot_dir,
             self.profile,
             strategy=self.strategy,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            obs=self.obs,
             config=self.config,
         )
 
@@ -236,50 +225,47 @@ class SuspensionScheduler:
             now = self._run_to_completion(short, max(now, short.arrival_time), report)
 
     def _record_completion(self, completion: QueryCompletion, policy: str) -> None:
-        if self.journal is not None:
-            for segment in completion.segments:
-                self.journal.append(
-                    "placement",
-                    completion.name,
-                    segment["start"],
-                    policy=policy,
-                    phase=segment["phase"],
-                    start=segment["start"],
-                    end=segment["end"],
-                    suspensions=completion.suspensions,
-                )
-        if self.tracer is not None:
-            self.tracer.span(
-                "cloud",
-                f"schedule:{completion.name}",
-                completion.arrival_time,
-                completion.finished_at,
-                track="scheduler",
-                policy=policy,
-                suspensions=completion.suspensions,
-                latency=completion.latency,
-            )
-        if self.tracer is not None or self.recorder is not None:
-            # One span per phase on the query's own track, stitched into a
-            # causal tree: a lifecycle root over [arrival, finished] with
-            # the queued/run/suspended segments as its leaves, so Perfetto
-            # shows a per-query lane and `repro report` a span breakdown.
-            lifecycle = QueryLifecycle(
+        obs = self.obs
+        for segment in completion.segments:
+            obs.audit(
+                "placement",
                 completion.name,
-                completion.arrival_time,
-                tracer=self.tracer,
-                recorder=self.recorder,
-                category="cloud",
+                segment["start"],
                 policy=policy,
+                phase=segment["phase"],
+                start=segment["start"],
+                end=segment["end"],
                 suspensions=completion.suspensions,
             )
+        obs.span(
+            "cloud",
+            f"schedule:{completion.name}",
+            completion.arrival_time,
+            completion.finished_at,
+            track="scheduler",
+            policy=policy,
+            suspensions=completion.suspensions,
+            latency=completion.latency,
+        )
+        # One span per phase on the query's own track, stitched into a
+        # causal tree: a lifecycle root over [arrival, finished] with the
+        # queued/run/suspended segments as its leaves, so Perfetto shows a
+        # per-query lane and `repro report` a span breakdown.
+        lifecycle = obs.open_lifecycle(
+            completion.name,
+            completion.arrival_time,
+            category="cloud",
+            policy=policy,
+            suspensions=completion.suspensions,
+        )
+        if lifecycle is not None:
             lifecycle.finish(
                 completion.finished_at,
                 segments=completion.segments,
                 latency=completion.latency,
             )
-        if self.recorder is not None:
-            self.recorder.add_completion(
+        if obs.recording:
+            obs.recorder.add_completion(
                 {
                     "name": completion.name,
                     "arrival_time": completion.arrival_time,
@@ -289,8 +275,5 @@ class SuspensionScheduler:
                     "policy": policy,
                 }
             )
-        if self.metrics is not None:
-            self.metrics.counter("scheduler_completions_total", policy=policy).inc()
-            self.metrics.histogram("scheduler_latency_seconds", policy=policy).observe(
-                completion.latency
-            )
+        obs.count("scheduler_completions_total", policy=policy)
+        obs.observe("scheduler_latency_seconds", completion.latency, policy=policy)

@@ -19,9 +19,8 @@ from repro.costmodel.model import CostInputs, StrategyCost, estimate_all
 from repro.costmodel.termination import TerminationProfile
 from repro.engine.controller import BoundaryContext
 from repro.engine.profile import HardwareProfile
-from repro.obs.audit import DecisionJournal, cost_to_json, time_key
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.audit import cost_to_json, time_key
+from repro.obs.handle import Obs
 from repro.storage import codec as codec_mod
 
 __all__ = ["SelectorDecision", "AdaptiveStrategySelector"]
@@ -61,9 +60,7 @@ class AdaptiveStrategySelector:
     estimated_total_time: float
     probe_step: float | None = None
     codec: str = "raw"
-    tracer: Tracer | None = None
-    metrics: MetricsRegistry | None = None
-    journal: DecisionJournal | None = None
+    obs: Obs = Obs.NONE
     #: Human-readable name of the bound size estimator ("regression",
     #: "optimizer", ...) recorded in journal entries.
     estimator_label: str = ""
@@ -162,10 +159,11 @@ class AdaptiveStrategySelector:
             planned_suspension_time=costs[chosen].planned_suspension_time,
         )
         self.decisions.append(decision)
-        if self.journal is not None:
+        obs = self.obs
+        if obs.journal is not None:
             # runtime_seconds is wall time and deliberately left out: journal
             # exports must stay byte-identical across runs of the same seed.
-            record = self.journal.append(
+            record = obs.audit(
                 "decision",
                 context.executor.query_name,
                 context.clock_now,
@@ -209,10 +207,10 @@ class AdaptiveStrategySelector:
                 },
             )
             decision.audit_seq = record.seq
-        if self.tracer is not None:
+        if obs.tracing:
             # runtime_seconds is wall time and deliberately left out: trace
             # exports must stay deterministic across runs.
-            self.tracer.instant(
+            obs.instant(
                 "decision",
                 f"decide:{chosen}",
                 context.clock_now,
@@ -225,10 +223,10 @@ class AdaptiveStrategySelector:
                 at_breaker=context.at_breaker,
                 pipeline=context.pipeline_id,
             )
-        if self.metrics is not None:
-            self.metrics.counter("selector_decisions_total", strategy=chosen).inc()
-            self.metrics.histogram(
-                "selector_state_bytes",
-                buckets=(2.0**10, 2.0**15, 2.0**20, 2.0**25, 2.0**30),
-            ).observe(state_bytes)
+        obs.count("selector_decisions_total", strategy=chosen)
+        obs.observe(
+            "selector_state_bytes",
+            state_bytes,
+            buckets=(2.0**10, 2.0**15, 2.0**20, 2.0**25, 2.0**30),
+        )
         return decision

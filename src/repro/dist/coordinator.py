@@ -53,6 +53,8 @@ from repro.engine.operators.exchange import ExchangeInput, assemble_exchange
 from repro.engine.operators.hash_join import JoinType
 from repro.engine.profile import HardwareProfile
 from repro.engine.types import Schema
+from repro.obs.audit import DecisionJournal
+from repro.obs.handle import Obs
 from repro.dist.partition import (
     KEY_FAMILIES,
     PARTITION_KEYS,
@@ -330,7 +332,7 @@ def split_plan(
     sharded: ShardedCatalog,
     plan: planmod.PlanNode,
     pushdown: bool = True,
-    journal=None,
+    journal: DecisionJournal | None = None,
     query_name: str = "query",
 ) -> DistributedPlan:
     """Split *plan* into an upper plan plus one fragment per exchange.
@@ -435,7 +437,7 @@ class Coordinator:
     """Runs a :class:`DistributedPlan` over a :class:`ShardedCatalog`.
 
     Each shard owns a :class:`QueryRunner` (sharing this coordinator's
-    tracer/metrics/journal/snapshot store), so fragments inherit the full
+    observability handle and snapshot store), so fragments inherit the full
     suspension stack — strategies, codecs, incremental snapshot deltas,
     the adaptive selector — with per-shard snapshot names.
     """
@@ -444,9 +446,8 @@ class Coordinator:
         self,
         sharded: ShardedCatalog,
         profile: HardwareProfile | None = None,
-        tracer=None,
-        metrics=None,
-        journal=None,
+        *,
+        obs: Obs | None = None,
         store=None,
         snapshot_dir: str | Path = ".riveter-snapshots",
         config: ExecutionConfig | None = None,
@@ -455,16 +456,13 @@ class Coordinator:
         self.sharded = sharded
         self.profile = profile if profile is not None else HardwareProfile()
         self.config = ExecutionConfig.of(config, **options)
-        self.tracer = tracer
-        self.metrics = metrics
+        self.obs = Obs.of(obs)
         self.runners = [
             QueryRunner(
                 sharded.catalog_for(k),
                 profile=self.profile,
                 snapshot_dir=snapshot_dir,
-                tracer=tracer,
-                metrics=metrics,
-                journal=journal,
+                obs=self.obs,
                 store=store,
                 config=self.config,
             )
@@ -562,17 +560,16 @@ class Coordinator:
                 fragments.append(run)
                 shard_chunks.append(chunk)
                 stage_busy = max(stage_busy, run.busy_time)
-                if self.tracer is not None:
-                    self.tracer.span(
-                        "exchange",
-                        label,
-                        stage_start,
-                        stage_start + run.busy_time,
-                        track=f"shard{k}",
-                        rows=run.rows,
-                        bytes=run.bytes,
-                        suspended=run.suspended,
-                    )
+                self.obs.span(
+                    "exchange",
+                    label,
+                    stage_start,
+                    stage_start + run.busy_time,
+                    track=f"shard{k}",
+                    rows=run.rows,
+                    bytes=run.bytes,
+                    suspended=run.suspended,
+                )
             assembled = assemble_exchange(
                 spec.output_schema, shard_chunks, ROWID_COLUMN, base_rows
             )
@@ -580,24 +577,22 @@ class Coordinator:
             exchange_bytes[spec.exchange_id] = assembled.bytes_shuffled
             transfer = self.profile.shuffle_latency(assembled.bytes_shuffled)
             shuffle_time += transfer
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "exchange_bytes_shuffled_total", mode="gather"
-                ).inc(assembled.bytes_shuffled)
-                self.metrics.counter(
-                    "exchange_rows_shuffled_total", mode="gather"
-                ).inc(assembled.rows_shuffled)
-            if self.tracer is not None:
-                self.tracer.span(
-                    "exchange",
-                    f"{query_name}.x{spec.exchange_id}.gather",
-                    stage_start + stage_busy,
-                    stage_start + stage_busy + transfer,
-                    track="coordinator",
-                    bytes=assembled.bytes_shuffled,
-                    rows=assembled.rows_shuffled,
-                    placements=spec.placements,
-                )
+            self.obs.count(
+                "exchange_bytes_shuffled_total", assembled.bytes_shuffled, mode="gather"
+            )
+            self.obs.count(
+                "exchange_rows_shuffled_total", assembled.rows_shuffled, mode="gather"
+            )
+            self.obs.span(
+                "exchange",
+                f"{query_name}.x{spec.exchange_id}.gather",
+                stage_start + stage_busy,
+                stage_start + stage_busy + transfer,
+                track="coordinator",
+                bytes=assembled.bytes_shuffled,
+                rows=assembled.rows_shuffled,
+                placements=spec.placements,
+            )
             stage_start += stage_busy + transfer
 
         upper_clock = SimulatedClock()
@@ -607,8 +602,7 @@ class Coordinator:
             profile=self.profile,
             clock=upper_clock,
             query_name=query_name,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            obs=self.obs,
             exchange_inputs=exchange_inputs,
             config=self.config,
         )

@@ -100,7 +100,7 @@ def _worker_loop(executor, run, tasks, results, worker_index: int = 0) -> None:
     worker's final put goes uncounted — a disclosed approximation (see
     :mod:`repro.obs.profile`).
     """
-    profiling = executor.profiler is not None
+    profiling = executor.obs.profiling
     queue_wait = 0.0
     pending_ship = 0.0
     while True:

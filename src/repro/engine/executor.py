@@ -48,8 +48,7 @@ from repro.engine.pipeline import Pipeline, build_pipelines
 from repro.engine.plan import PlanNode, plan_fingerprint
 from repro.engine.profile import HardwareProfile
 from repro.engine.stats import OperatorStats, PipelineStats, QueryStats
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.storage.catalog import Catalog
 
 __all__ = [
@@ -223,8 +222,10 @@ class QueryExecutor:
         controller: ExecutionController | None = None,
         query_name: str = "query",
         resume: ResumeState | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        *,
+        obs: Obs | None = None,
+        tracer=None,
+        metrics=None,
         profiler=None,
         exchange_inputs: dict[int, "ExchangeInput"] | None = None,
         config: ExecutionConfig | None = None,
@@ -237,15 +238,14 @@ class QueryExecutor:
         self.config = ExecutionConfig.of(config, **options)
         self.controller = controller if controller is not None else ExecutionController()
         self.query_name = query_name
-        self.tracer = tracer
-        self.metrics = metrics
-        # Opt-in wall-clock profiler (repro.obs.profile.QueryProfiler).
-        # Strictly observational: the profiled compute path is an exact
-        # twin of the deterministic one plus perf_counter marks, so all
-        # virtual-clock artifacts stay byte-identical with it attached.
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.bind(self)
+        # The one constructor that still names sinks: the three an executor
+        # consumes fold into the handle it was (or was not) given.  The
+        # profiler is strictly observational: the profiled compute path is
+        # an exact twin of the deterministic one plus perf_counter marks, so
+        # all virtual-clock artifacts stay byte-identical with it attached.
+        self.obs = Obs.of(obs, tracer=tracer, metrics=metrics, profiler=profiler)
+        if self.obs.profiling:
+            self.obs.profiler.bind(self)
         self.memory = MemoryAccountant()
         # Reassembled gather-exchange outputs keyed by exchange id; the
         # coordinator supplies these when the plan contains ShuffleRead
@@ -279,8 +279,8 @@ class QueryExecutor:
             self.clock.advance(resume.clock_time - self.clock.now())
         for pid, state in self.completed_states.items():
             self.memory.set_charge(f"global:{pid}", state.nbytes)
-        if self.tracer is not None:
-            self.tracer.instant(
+        if self.obs.tracing:
+            self.obs.instant(
                 "resume",
                 f"resume:{self.query_name}",
                 self.clock.now(),
@@ -289,8 +289,7 @@ class QueryExecutor:
                 mid_pipeline=resume.current_pipeline,
                 restored_bytes=sum(s.nbytes for s in self.completed_states.values()),
             )
-        if self.metrics is not None:
-            self.metrics.counter("resumptions_total").inc()
+        self.obs.count("resumptions_total")
 
     # -- execution ---------------------------------------------------------
     def run(self) -> QueryResult:
@@ -301,8 +300,8 @@ class QueryExecutor:
         # inherit the active set.  Under profiling the set is wrapped in
         # a delegating wall-timer (bit-identical results by construction).
         kernels = self.config.kernels
-        if self.profiler is not None:
-            kernels = self.profiler.wrap_kernels(kernels)
+        if self.obs.profiling:
+            kernels = self.obs.profiler.wrap_kernels(kernels)
         previous_kernels = set_kernels(kernels)
         try:
             return self._run()
@@ -311,14 +310,13 @@ class QueryExecutor:
 
     def _run(self) -> QueryResult:
         run_started = self.clock.now()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "query",
-                f"start:{self.query_name}",
-                run_started,
-                pipelines=len(self.pipelines),
-                resumed=bool(self.completed_states or self.skipped_pipelines),
-            )
+        self.obs.instant(
+            "query",
+            f"start:{self.query_name}",
+            run_started,
+            pipelines=len(self.pipelines),
+            resumed=bool(self.completed_states or self.skipped_pipelines),
+        )
         self.controller.on_query_start(self)
         self.stats.started_at = self.clock.now() if not self.stats.pipelines else self.stats.started_at
         for position, pipeline in enumerate(self.pipelines):
@@ -333,27 +331,26 @@ class QueryExecutor:
         chunk = self.pipelines[-1].sink.result_chunk(result_state)
         self.stats.finished_at = self.clock.now()
         self.memory.release_all()
-        if self.tracer is not None:
-            self.tracer.span(
-                "query",
-                self.query_name,
-                run_started,
-                self.stats.finished_at,
-                rows=int(chunk.num_rows),
-                pipelines=len(self.stats.pipelines),
-                peak_memory_bytes=self.peak_memory_bytes,
-            )
-        if self.metrics is not None:
+        self.obs.span(
+            "query",
+            self.query_name,
+            run_started,
+            self.stats.finished_at,
+            rows=int(chunk.num_rows),
+            pipelines=len(self.stats.pipelines),
+            peak_memory_bytes=self.peak_memory_bytes,
+        )
+        if self.obs.metrics is not None:
             self._record_query_metrics(chunk.num_rows)
-        if self.profiler is not None:
+        if self.obs.profiling:
             # Only a completed run finishes the profile: a suspended run
             # raises before reaching here, and the same profiler is handed
             # to the resumed executor to cover the whole lifecycle.
-            self.profiler.finish(self.stats, metrics=self.metrics)
+            self.obs.profiler.finish(self.stats, metrics=self.obs.metrics)
         return QueryResult(chunk=chunk, stats=self.stats, peak_memory_bytes=self.peak_memory_bytes)
 
     def _record_query_metrics(self, result_rows: int) -> None:
-        metrics = self.metrics
+        metrics = self.obs.metrics
         metrics.counter("queries_total").inc()
         metrics.counter("result_rows_total").inc(int(result_rows))
         metrics.histogram("query_duration_vseconds").observe(self.stats.duration)
@@ -404,7 +401,7 @@ class QueryExecutor:
         """Emit the pending morsel-batch span (tracer enabled only)."""
         if run.next_morsel == run.batch_start_morsel:
             return
-        self.tracer.span(
+        self.obs.span(
             "morsel",
             f"P{run.pipeline.pipeline_id}"
             f":morsels[{run.batch_start_morsel}..{run.next_morsel})",
@@ -436,8 +433,8 @@ class QueryExecutor:
         """
         pipeline = run.pipeline
         recorder = marks = None
-        if self.profiler is not None:
-            recorder = self.profiler.kernel_recorder
+        if self.obs.profiling:
+            recorder = self.obs.profiler.kernel_recorder
             recorder.begin()
             marks = [time.perf_counter()]
         chunk = run.source.get_morsel(index)
@@ -516,9 +513,9 @@ class QueryExecutor:
         run.next_morsel = result.morsel_index + 1
         run.stats.rows_processed = run.rows_processed
         run.stats.morsels_processed = run.next_morsel
-        if self.profiler is not None and result.profile is not None:
-            self.profiler.record_morsel(run, result.profile)
-        if self.tracer is not None:
+        if result.profile is not None and self.obs.profiling:
+            self.obs.profiler.record_morsel(run, result.profile)
+        if self.obs.tracing:
             run.batch_rows += source_rows
             if run.next_morsel - run.batch_start_morsel >= TRACE_MORSEL_BATCH:
                 self._flush_morsel_batch(run)
@@ -531,9 +528,9 @@ class QueryExecutor:
 
     def raise_process_suspend(self, run: _PipelineRun) -> None:
         """Capture mid-pipeline state and raise (backend hook)."""
-        if self.tracer is not None:
+        if self.obs.tracing:
             self._flush_morsel_batch(run)
-            self.tracer.instant(
+            self.obs.instant(
                 "suspend",
                 f"capture:process:{self.query_name}",
                 self.clock.now(),
@@ -547,13 +544,13 @@ class QueryExecutor:
         pipeline = run.pipeline
         pid = pipeline.pipeline_id
         sink = pipeline.sink
-        if self.tracer is not None:
+        if self.obs.tracing:
             self._flush_morsel_batch(run)
         breaker_started = self.clock.now()
         # Wall-clock the coordinator-side breaker (combine + finalize):
         # for sort/aggregate sinks this is where the real work happens,
         # and no worker-side morsel timer sees it.
-        breaker_wall_started = time.perf_counter() if self.profiler is not None else 0.0
+        breaker_wall_started = time.perf_counter() if self.obs.profiling else 0.0
         global_state = sink.make_global_state()
         for local_state in run.local_states:
             sink.combine(global_state, local_state)
@@ -564,8 +561,8 @@ class QueryExecutor:
             sink.kind, sink.finalize_cost_rows(global_state)
         )
         self.clock.advance(finalize_cost)
-        if self.profiler is not None:
-            self.profiler.record_breaker(run, time.perf_counter() - breaker_wall_started)
+        if self.obs.profiling:
+            self.obs.profiler.record_breaker(run, time.perf_counter() - breaker_wall_started)
         sink_stats = run.stats.operators[-1]
         sink_stats.seconds += merge_cost + finalize_cost
         sink_stats.bytes = global_state.nbytes
@@ -577,8 +574,8 @@ class QueryExecutor:
         run.stats.finished_at = self.clock.now()
         run.stats.global_state_bytes = global_state.nbytes
         self.stats.record_pipeline(run.stats)
-        if self.tracer is not None:
-            self.tracer.span(
+        if self.obs.tracing:
+            self.obs.span(
                 "breaker",
                 f"P{pid}:breaker",
                 breaker_started,
@@ -587,7 +584,7 @@ class QueryExecutor:
                 state_bytes=global_state.nbytes,
                 rows=run.rows_processed,
             )
-            self.tracer.span(
+            self.obs.span(
                 "pipeline",
                 f"P{pid}:{pipeline.description}",
                 run.started_at,
@@ -599,26 +596,16 @@ class QueryExecutor:
             )
         context = self._context(position, run, at_breaker=True)
         action = self.controller.on_pipeline_breaker(context)
-        if action is Action.SUSPEND_PIPELINE:
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "suspend",
-                    f"capture:pipeline:{self.query_name}",
-                    self.clock.now(),
-                    track="suspend",
-                    pipeline=pid,
-                )
-            raise QuerySuspended(self._capture_pipeline())
-        if action is Action.SUSPEND_PROCESS:
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "suspend",
-                    f"capture:process:{self.query_name}",
-                    self.clock.now(),
-                    track="suspend",
-                    pipeline=pid,
-                )
-            raise QuerySuspended(self._capture_process(None))
+        if action is Action.SUSPEND_PIPELINE or action is Action.SUSPEND_PROCESS:
+            kind = "pipeline" if action is Action.SUSPEND_PIPELINE else "process"
+            self.obs.instant(
+                "suspend",
+                f"capture:{kind}:{self.query_name}",
+                self.clock.now(),
+                track="suspend",
+                pipeline=pid,
+            )
+            raise QuerySuspended(self._capture(kind))
 
     # -- sources and bindings ----------------------------------------------
     def _make_source(self, pipeline: Pipeline) -> Source:
@@ -705,9 +692,7 @@ class QueryExecutor:
     def _capture_pipeline(self) -> ExecutionCapture:
         return self._capture("pipeline")
 
-    def _capture_process(self, run: _PipelineRun | None) -> ExecutionCapture:
-        if run is None:
-            return self._capture("process")
+    def _capture_process(self, run: _PipelineRun) -> ExecutionCapture:
         capture = self._capture("process", running=run.pipeline.pipeline_id)
         capture.current_pipeline = run.pipeline.pipeline_id
         capture.next_morsel = run.next_morsel

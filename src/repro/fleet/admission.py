@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fleet.workload import QueryArrival
-from repro.obs.audit import DecisionJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.handle import Obs
 
 __all__ = [
     "FleetRejected",
@@ -72,6 +71,11 @@ class AdmissionController:
     a normal run (the cluster measures these once per distinct plan), so
     the memory check uses real engine accounting rather than the
     optimizer's cardinality guesses.
+
+    Every verdict is journaled, counted and traced (an instant on the
+    ``admission`` track) through *obs*.  One rule: a controller built
+    without a handle reports through its cluster's — the whole handle, no
+    per-sink backfill; one built with a handle keeps it.
     """
 
     def __init__(
@@ -79,21 +83,15 @@ class AdmissionController:
         max_queue_depth: int = 16,
         memory_budget_bytes: int | None = None,
         peak_memory: dict[str, int] | None = None,
-        journal: DecisionJournal | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer=None,
+        *,
+        obs: Obs | None = None,
     ):
         if max_queue_depth <= 0:
             raise ValueError(f"max_queue_depth must be positive, got {max_queue_depth}")
         self.max_queue_depth = max_queue_depth
         self.memory_budget_bytes = memory_budget_bytes
         self.peak_memory = peak_memory if peak_memory is not None else {}
-        self.journal = journal
-        self.metrics = metrics
-        #: optional Tracer; every verdict becomes an instant on the
-        #: ``admission`` track (the cluster backfills this with its own
-        #: tracer when the controller was built without one)
-        self.tracer = tracer
+        self.obs = Obs.of(obs)
         self.rejections: list[FleetRejected] = []
 
     def admit(self, arrival: QueryArrival, queue_depth: int) -> FleetRejected | None:
@@ -109,8 +107,9 @@ class AdmissionController:
             and self.peak_memory.get(arrival.query, 0) > self.memory_budget_bytes
         ):
             reason = "memory"
-        if self.journal is not None:
-            self.journal.append(
+        obs = self.obs
+        if obs is not Obs.NONE:  # the untraced 100k-arrival loop pays one test
+            obs.audit(
                 "admission",
                 arrival.name,
                 arrival.arrival_time,
@@ -120,16 +119,13 @@ class AdmissionController:
                 admitted=reason is None,
                 reason=reason,
             )
-        if self.metrics is not None:
             if reason is None:
-                self.metrics.counter("fleet_admitted_total", tenant=arrival.tenant).inc()
+                obs.count("fleet_admitted_total", tenant=arrival.tenant)
             else:
-                self.metrics.counter("fleet_rejected_total", reason=reason).inc()
-        if self.tracer is not None:
-            verdict = "admit" if reason is None else "reject"
-            self.tracer.instant(
+                obs.count("fleet_rejected_total", reason=reason)
+            obs.instant(
                 "fleet",
-                f"{verdict}:{arrival.name}",
+                f"{'admit' if reason is None else 'reject'}:{arrival.name}",
                 arrival.arrival_time,
                 track="admission",
                 tenant=arrival.tenant,

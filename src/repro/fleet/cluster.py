@@ -62,10 +62,7 @@ from repro.fleet.macro import (
     run_macro_slice,
 )
 from repro.fleet.workload import QueryArrival
-from repro.obs.audit import DecisionJournal
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import QueryLifecycle, TimelineRecorder
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.seeding import derive_seed
 from repro.storage.catalog import Catalog
 from repro.suspend.controller import CompositeController, TerminationController
@@ -240,7 +237,7 @@ class _FleetQuery:
         self.session: QuerySession | None = None
         self.macro: MacroQueryState | None = None
         #: causal span tree (None when the fleet runs unobserved)
-        self.lifecycle: QueryLifecycle | None = None
+        self.lifecycle = None
         #: live event tokens while queued (cancelled on selection)
         self._interactive_event = None
 
@@ -322,10 +319,8 @@ class FleetCluster:
         snapshot_dir: str | os.PathLike | None = None,
         mean_on_seconds: float = 600.0,
         mean_off_seconds: float = 45.0,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        journal: DecisionJournal | None = None,
-        recorder: TimelineRecorder | None = None,
+        *,
+        obs: Obs | None = None,
         slo=None,
         fidelity: str = "engine",
         macro_profiles: dict[str, QueryRunProfile] | None = None,
@@ -356,23 +351,25 @@ class FleetCluster:
         self.config = ExecutionConfig.of(config, **options)
         self.mean_on_seconds = mean_on_seconds
         self.mean_off_seconds = mean_off_seconds
-        self.tracer = tracer
-        self.metrics = metrics
-        self.journal = journal
-        #: windowed time-series sink (queue depth, in-flight, suspended,
-        #: reserved memory, burn rates) plus lifecycle span storage
-        self.recorder = recorder
+        #: The event loop tests one hoisted flag per event (``obs.tracing``,
+        #: ``obs.recording``, ``obs is not Obs.NONE``) before building any
+        #: event's arguments: a bare 100k-arrival run pays nothing else.
+        self.obs = Obs.of(obs)
         #: optional :class:`~repro.fleet.slo.SLOMonitor` fed every
         #: terminal outcome (completions and shed arrivals)
         self.slo = slo
         #: "engine" runs a QueryExecutor per slice; "macro" replays the
         #: calibrated run profile analytically (byte-identical results)
         self.fidelity = fidelity
+        # Metrics only, and slices run unobserved (their sessions get no
+        # handle): fleet traces carry the lifecycle spans the cluster emits
+        # itself — no strategy spans, controller instants or engine events,
+        # which macro fidelity could not replay.
         self.strategy = make_strategy(
-            "pipeline", self.profile, metrics=metrics, config=self.config
+            "pipeline", self.profile, obs=Obs(metrics=self.obs.metrics), config=self.config
         )
-        if self.admission.tracer is None:
-            self.admission.tracer = tracer
+        if self.admission.obs is Obs.NONE:
+            self.admission.obs = self.obs
         self._plans: dict[str, object] = {}
         self._measured: dict[str, tuple[float, int]] = {}
         #: calibrated run profiles, shareable across clusters with the
@@ -535,12 +532,10 @@ class FleetCluster:
         state = self._state
         normal_time, _ = self.measure(arrival.query)
         lifecycle = None
-        if self.tracer is not None or self.recorder is not None:
-            lifecycle = QueryLifecycle(
+        if self.obs.tracing or self.obs.recording:
+            lifecycle = self.obs.open_lifecycle(
                 arrival.name,
                 arrival.arrival_time,
-                tracer=self.tracer,
-                recorder=self.recorder,
                 tenant=arrival.tenant,
                 tenant_class=arrival.tenant_class,
                 query=arrival.query,
@@ -589,16 +584,17 @@ class FleetCluster:
 
     def _sample_state(self, ts: float) -> None:
         """Fold the fleet's instantaneous state into the timeline windows."""
-        if self.recorder is None:
+        if not self.obs.recording:
             return
         state = self._state
-        self.recorder.sample("fleet_queue_depth", ts, state.pending_count)
-        self.recorder.sample("fleet_suspended", ts, state.suspended_count)
-        self.recorder.sample("fleet_reserved_bytes", ts, state.reserved_bytes)
+        recorder = self.obs.recorder
+        recorder.sample("fleet_queue_depth", ts, state.pending_count)
+        recorder.sample("fleet_suspended", ts, state.suspended_count)
+        recorder.sample("fleet_reserved_bytes", ts, state.reserved_bytes)
         in_flight = self.worker_count - bisect_right(
             state.free_sorted, (ts + _EPSILON, self.worker_count)
         )
-        self.recorder.sample("fleet_in_flight", ts, in_flight)
+        recorder.sample("fleet_in_flight", ts, in_flight)
 
     def _next_interactive_after(self, at_time: float) -> float | None:
         """Earliest future interactive demand, from queue or arrivals.
@@ -794,8 +790,8 @@ class FleetCluster:
                 bytes=outcome.intermediate_bytes,
             )
         self._finish_slice(query, worker, start, end, self._state.served_per_weight)
-        if self.journal is not None:
-            self.journal.append(
+        if self.obs is not Obs.NONE:
+            self.obs.audit(
                 "placement",
                 query.arrival.name,
                 end,
@@ -837,8 +833,9 @@ class FleetCluster:
                 lost_segments=query.lost_segments,
                 has_snapshot=query.has_snapshot,
             )
-        if self.journal is not None:
-            self.journal.append(
+        obs = self.obs
+        if obs is not Obs.NONE:
+            obs.audit(
                 "reclamation",
                 query.arrival.name,
                 window_end,
@@ -847,16 +844,14 @@ class FleetCluster:
                 lost_segments=query.lost_segments,
                 has_snapshot=query.has_snapshot,
             )
-        if self.tracer is not None:
-            self.tracer.instant(
+            obs.instant(
                 "fleet",
                 f"reclaim:W{worker.wid}",
                 window_end,
                 track=f"worker:{worker.wid}",
                 query=query.arrival.name,
             )
-        if self.metrics is not None:
-            self.metrics.counter("fleet_reclamations_total").inc()
+            obs.count("fleet_reclamations_total")
 
     def _finish_slice(self, query, worker, start, end, served_per_weight) -> None:
         """Book ``[start, end]`` as busy time for *query* on *worker*."""
@@ -878,8 +873,8 @@ class FleetCluster:
             if self._state is not None:
                 # Fair-share caches tenant keys; re-key after serving.
                 self._state.released.reorder(tenant)
-        if self.tracer is not None:
-            self.tracer.span(
+        if self.obs.tracing:
+            self.obs.span(
                 "fleet",
                 query.arrival.name,
                 start,
@@ -916,14 +911,15 @@ class FleetCluster:
                 suspensions=completion.suspensions,
                 lost_segments=completion.lost_segments,
             )
-        if self.recorder is not None:
+        obs = self.obs
+        if obs.recording:
             payload = completion.to_json()
             # Segments are already in the artifact as the root's leaf
             # spans; the completion record carries the scalars.
             payload.pop("segments", None)
             if query.lifecycle is not None:
                 payload["trace_id"] = query.lifecycle.trace_id
-            self.recorder.add_completion(payload)
+            obs.recorder.add_completion(payload)
         if self.slo is not None:
             self.slo.observe(
                 completion.tenant_class,
@@ -931,8 +927,8 @@ class FleetCluster:
                 completion.slo_attained,
                 query=completion.name,
             )
-        if self.journal is not None:
-            self.journal.append(
+        if obs is not Obs.NONE:
+            obs.audit(
                 "placement",
                 completion.name,
                 finished_at,
@@ -944,12 +940,9 @@ class FleetCluster:
                 lost_segments=completion.lost_segments,
                 slo_attained=completion.slo_attained,
             )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "fleet_completions_total", tenant_class=completion.tenant_class
-            ).inc()
-            self.metrics.histogram(
-                "fleet_latency_seconds", tenant_class=completion.tenant_class
-            ).observe(completion.latency)
+            obs.count("fleet_completions_total", tenant_class=completion.tenant_class)
+            obs.observe(
+                "fleet_latency_seconds", completion.latency, tenant_class=completion.tenant_class
+            )
             if not completion.slo_attained:
-                self.metrics.counter("fleet_slo_misses_total").inc()
+                obs.count("fleet_slo_misses_total")

@@ -27,6 +27,7 @@ from collections import deque
 
 from repro.cloud.environment import PriceTrace
 from repro.fleet.cluster import FleetResult
+from repro.obs.handle import Obs
 from repro.obs.metrics import percentile
 
 __all__ = [
@@ -154,7 +155,7 @@ class SLOMonitor:
     rate is ``miss_rate / (1 - target_attainment)``; crossing
     ``burn_threshold`` fires **one** alert (edge-triggered — the alert
     re-arms only after burn falls back below the threshold), mirrored to
-    every attached sink: a trace instant on the ``slo`` track, an
+    every sink *obs* carries: a trace instant on the ``slo`` track, an
     ``alert`` record in the decision journal, an alert record plus a
     ``slo_burn_rate:{class}`` series in the timeline recorder, and an
     ``slo_alerts_total`` counter.
@@ -169,10 +170,8 @@ class SLOMonitor:
         target_attainment: float = 0.95,
         window_seconds: float = 120.0,
         burn_threshold: float = 2.0,
-        tracer=None,
-        journal=None,
-        metrics=None,
-        recorder=None,
+        *,
+        obs: Obs | None = None,
     ):
         if not 0.0 < target_attainment < 1.0:
             raise ValueError(
@@ -185,10 +184,7 @@ class SLOMonitor:
         self.target_attainment = target_attainment
         self.window_seconds = float(window_seconds)
         self.burn_threshold = float(burn_threshold)
-        self.tracer = tracer
-        self.journal = journal
-        self.metrics = metrics
-        self.recorder = recorder
+        self.obs = Obs.of(obs)
         self._windows: dict[str, deque] = {}
         self._firing: dict[str, bool] = {}
         self.alerts: list[dict] = []
@@ -218,8 +214,8 @@ class SLOMonitor:
             window.popleft()
         misses = sum(1 for _, ok in window if not ok)
         burn = (misses / len(window)) / (1.0 - self.target_attainment)
-        if self.recorder is not None:
-            self.recorder.sample(f"slo_burn_rate:{tenant_class}", ts, burn)
+        if self.obs.recording:
+            self.obs.recorder.sample(f"slo_burn_rate:{tenant_class}", ts, burn)
         firing = burn >= self.burn_threshold
         if firing and not self._firing.get(tenant_class, False):
             self._fire(tenant_class, ts, burn, misses, len(window), query)
@@ -239,31 +235,29 @@ class SLOMonitor:
             "query": query,
         }
         self.alerts.append(alert)
-        if self.metrics is not None:
-            self.metrics.counter("slo_alerts_total", tenant_class=tenant_class).inc()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "timeline",
-                f"slo_burn:{tenant_class}",
-                ts,
-                track="slo",
-                burn_rate=burn,
-                misses=misses,
-                observations=observations,
-            )
-        if self.journal is not None:
-            self.journal.append(
-                "alert",
-                query if query is not None else tenant_class,
-                ts,
-                tenant_class=tenant_class,
-                burn_rate=burn,
-                threshold=self.burn_threshold,
-                misses=misses,
-                observations=observations,
-            )
-        if self.recorder is not None:
-            self.recorder.add_alert(alert)
+        obs = self.obs
+        obs.count("slo_alerts_total", tenant_class=tenant_class)
+        obs.instant(
+            "timeline",
+            f"slo_burn:{tenant_class}",
+            ts,
+            track="slo",
+            burn_rate=burn,
+            misses=misses,
+            observations=observations,
+        )
+        obs.audit(
+            "alert",
+            query if query is not None else tenant_class,
+            ts,
+            tenant_class=tenant_class,
+            burn_rate=burn,
+            threshold=self.burn_threshold,
+            misses=misses,
+            observations=observations,
+        )
+        if obs.recording:
+            obs.recorder.add_alert(alert)
 
 
 def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -33,9 +33,18 @@ package makes those timelines *inspectable*:
   fractions, morsel-latency histograms, and collapsed-stack exports —
   without perturbing any virtual-clock artifact.
 
-Tracing is strictly opt-in: every instrumented component takes
-``tracer=None`` / ``metrics=None`` and the disabled path is a single
-``is None`` check.
+* :mod:`repro.obs.handle` — :class:`~repro.obs.handle.Obs`, the one value
+  in which the sinks above travel.
+
+Observation is strictly opt-in.  Every instrumented driver, session,
+strategy, controller and selector takes ``obs=None`` (the shared disabled
+``Obs.NONE``) and forwards only the handle, which routes events (bound
+lifecycle tree, else flat tracer track) and is a no-op without the sink;
+hot paths test one hoisted flag (``obs.tracing`` / ``recording`` /
+``profiling``) before building an event's arguments.  A *leaf* consuming
+exactly one sink (``optimize_plan(journal=)``, the exporters) takes that
+sink; ``QueryExecutor`` alone also folds ``tracer=`` / ``metrics=`` /
+``profiler=`` into the handle.  Contract: DESIGN.md, "Observability".
 """
 
 from repro.obs.audit import (
@@ -77,6 +86,7 @@ from repro.obs.profile import (
     write_collapsed_stacks,
     write_profile,
 )
+from repro.obs.handle import Obs
 from repro.obs.timeline import (
     TIMELINE_FORMAT,
     QueryLifecycle,
@@ -89,6 +99,7 @@ from repro.obs.timeline import (
 )
 
 __all__ = [
+    "Obs",
     "TraceEvent",
     "Tracer",
     "TRACE_CATEGORIES",

@@ -2,7 +2,7 @@
 
 PR 1's tracer answers *what* happened on the virtual timeline; this module
 answers *why*.  Every suspend/resume deliberation — an Algorithm 1
-evaluation, the controller action it produced, a suspension request, a
+evaluation, the controller action it produced, a suspension, a
 termination landing, a scheduler placement — is appended to a
 :class:`DecisionJournal` as a structured :class:`AuditRecord`.
 
@@ -29,10 +29,8 @@ kind              emitted by
                   cost-model inputs, per-strategy estimates, and the choice
 ``action``        :class:`~repro.cloud.runner.AdaptiveController` — the
                   executor-facing action each decision resolved to
-``request``       :class:`~repro.suspend.controller.SuspensionRequestController`
-                  — a suspension request entering the system
-``suspend``       request controller / runner — the actual suspension point
-                  (the gap to ``request`` is the paper's time lag)
+``suspend``       runner — the actual suspension point, with the measured
+                  persisted bytes and persist latency
 ``resume``        runner — a reload completing, with its modelled latency
 ``termination``   :class:`~repro.suspend.controller.TerminationController`
                   — a simulated kill landing
@@ -78,7 +76,6 @@ AUDIT_KINDS = frozenset(
     {
         "decision",
         "action",
-        "request",
         "suspend",
         "resume",
         "termination",

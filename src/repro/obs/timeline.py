@@ -33,7 +33,8 @@ import os
 from dataclasses import dataclass, field
 
 from repro.obs.export import canonical_json
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.handle import Obs
+from repro.obs.trace import TraceEvent
 
 __all__ = [
     "TIMELINE_FORMAT",
@@ -66,10 +67,11 @@ def derive_span_id(trace_id: str, index: int) -> str:
 class QueryLifecycle:
     """Builds one causal span tree for one query.
 
-    Events are mirrored into an optional :class:`~repro.obs.trace.Tracer`
-    (so Perfetto shows the tree on the query's lane) and an optional
-    :class:`TimelineRecorder` (so the tree lands in the timeline
-    artifact).  The root span is emitted at :meth:`finish`, which is when
+    Events are mirrored into the handle's tracer (so Perfetto shows the
+    tree on the query's lane) and its :class:`TimelineRecorder` (so the
+    tree lands in the timeline artifact); drivers open one through
+    :meth:`Obs.open_lifecycle <repro.obs.handle.Obs.open_lifecycle>`.
+    The root span is emitted at :meth:`finish`, which is when
     its duration is known; children may therefore appear *before* their
     parent in recording order — consumers resolve parents by id, not by
     position.
@@ -79,19 +81,16 @@ class QueryLifecycle:
         self,
         query_name: str,
         arrival_time: float,
-        tracer: Tracer | None = None,
-        recorder: "TimelineRecorder | None" = None,
+        obs: Obs | None = None,
         category: str = "fleet",
-        track: str | None = None,
         trace_label: str | None = None,
         **root_args,
     ):
         self.query = query_name
         self.arrival_time = arrival_time
-        self.tracer = tracer
-        self.recorder = recorder
+        self.obs = Obs.of(obs)
         self.category = category
-        self.track = track if track is not None else f"query:{query_name}"
+        self.track = f"query:{query_name}"
         # trace_label disambiguates repeated runs of the same query in
         # one artifact (e.g. a strategy sweep); ids stay deterministic.
         self.trace_id = derive_trace_id(trace_label if trace_label is not None else query_name)
@@ -115,10 +114,10 @@ class QueryLifecycle:
 
     # -- emission ------------------------------------------------------------
     def _emit(self, event: TraceEvent) -> None:
-        if self.tracer is not None:
-            self.tracer.record(event)
-        if self.recorder is not None:
-            self.recorder.add_span(event)
+        if self.obs.tracing:
+            self.obs.tracer.record(event)
+        if self.obs.recording:
+            self.obs.recorder.add_span(event)
 
     def instant(
         self,

@@ -38,9 +38,10 @@ Events may carry three optional identity fields — ``trace_id`` (one per
 query lifecycle), ``span_id`` (this event), and ``parent_id`` (the
 enclosing span) — stitched by
 :class:`repro.obs.timeline.QueryLifecycle` into one rooted span tree per
-query.  Events without ids (the default) are plain timeline events, which
-keeps single-query traces exactly as they were before the lifecycle layer
-existed.
+query; only a lifecycle stamps them (``Tracer.span`` / ``instant`` record
+plain events, :meth:`repro.obs.handle.Obs.span` picks the route).  Events
+without ids are plain timeline events, which keeps single-query traces
+exactly as they were before the lifecycle layer existed.
 """
 
 from __future__ import annotations
@@ -169,25 +170,10 @@ class Tracer:
         name: str,
         ts: float,
         track: str = "engine",
-        *,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-        parent_id: str | None = None,
         **args,
     ) -> None:
         """Record a zero-duration event at virtual time *ts*."""
-        self.record(
-            TraceEvent(
-                ts=ts,
-                category=category,
-                name=name,
-                track=track,
-                args=args,
-                trace_id=trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-            )
-        )
+        self.record(TraceEvent(ts=ts, category=category, name=name, track=track, args=args))
 
     def span(
         self,
@@ -196,10 +182,6 @@ class Tracer:
         start: float,
         end: float,
         track: str = "engine",
-        *,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-        parent_id: str | None = None,
         **args,
     ) -> None:
         """Record a complete span ``[start, end]`` in virtual seconds."""
@@ -212,9 +194,6 @@ class Tracer:
                 dur=max(0.0, end - start),
                 track=track,
                 args=args,
-                trace_id=trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
             )
         )
 

@@ -6,9 +6,7 @@ from typing import Callable
 
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
 from repro.engine.errors import QueryTerminated
-from repro.obs.audit import DecisionJournal
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 
 __all__ = [
     "SuspensionRequestController",
@@ -26,73 +24,39 @@ class SuspensionRequestController(ExecutionController):
     pipeline breaker.  The request and the actual suspension are recorded
     as ``suspend``-category trace events (when a tracer is attached) in
     addition to the ``suspended_at``/``lag`` attributes the harness uses
-    for the time-lag experiment (Fig. 9).
+    for the time-lag experiment (Fig. 9).  The controller writes no audit
+    record: the driver journals ``suspend`` itself, with measured actuals.
     """
 
-    def __init__(
-        self,
-        request_time: float,
-        mode: str,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        journal: DecisionJournal | None = None,
-    ):
+    def __init__(self, request_time: float, mode: str, obs: Obs | None = None):
         if mode not in ("process", "pipeline"):
             raise ValueError(f"mode must be 'process' or 'pipeline', got {mode!r}")
         self.request_time = request_time
         self.mode = mode
-        self.tracer = tracer
-        self.metrics = metrics
-        self.journal = journal
+        self.obs = Obs.of(obs)
         self.suspended_at: float | None = None
-        self._query_name = "query"
         self._request_recorded = False
 
     def on_query_start(self, executor) -> None:
-        self._query_name = getattr(executor, "query_name", "query")
         if self._request_recorded:
             return
         self._request_recorded = True
-        if self.tracer is not None:
-            self.tracer.instant(
-                "suspend",
-                f"request:{self.mode}",
-                self.request_time,
-                track="suspend",
-                mode=self.mode,
-            )
-        if self.journal is not None:
-            self.journal.append(
-                "request",
-                self._query_name,
-                self.request_time,
-                mode=self.mode,
-                request_time=self.request_time,
-            )
+        self.obs.instant(
+            "suspend", f"request:{self.mode}", self.request_time, track="suspend", mode=self.mode
+        )
 
     def _note_suspension(self, now: float) -> None:
         self.suspended_at = now
-        if self.tracer is not None:
-            self.tracer.instant(
-                "suspend",
-                f"suspend:{self.mode}",
-                now,
-                track="suspend",
-                mode=self.mode,
-                requested_at=self.request_time,
-                lag=self.lag,
-            )
-        if self.metrics is not None:
-            self.metrics.histogram("suspension_lag_seconds").observe(self.lag or 0.0)
-        if self.journal is not None:
-            self.journal.append(
-                "suspend",
-                self._query_name,
-                now,
-                mode=self.mode,
-                requested_at=self.request_time,
-                lag=self.lag,
-            )
+        self.obs.instant(
+            "suspend",
+            f"suspend:{self.mode}",
+            now,
+            track="suspend",
+            mode=self.mode,
+            requested_at=self.request_time,
+            lag=self.lag,
+        )
+        self.obs.observe("suspension_lag_seconds", self.lag or 0.0)
 
     def on_morsel_boundary(self, context: BoundaryContext) -> Action:
         if self.mode == "process" and context.clock_now >= self.request_time:

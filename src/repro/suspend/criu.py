@@ -24,7 +24,7 @@ from repro.engine.errors import EngineError
 from repro.engine.executor import ExecutionCapture, ResumeState
 from repro.engine.pipeline import Pipeline
 from repro.engine.profile import HardwareProfile
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.suspend.snapshot import Snapshot, SnapshotError
 
 __all__ = ["CriuError", "SimulatedCriu"]
@@ -37,14 +37,9 @@ class CriuError(EngineError):
 class SimulatedCriu:
     """Dump/restore of query-execution process images."""
 
-    def __init__(
-        self,
-        profile: HardwareProfile,
-        tracer: Tracer | None = None,
-        codec: str = "raw",
-    ):
+    def __init__(self, profile: HardwareProfile, obs: Obs | None = None, codec: str = "raw"):
         self.profile = profile
-        self.tracer = tracer
+        self.obs = Obs.of(obs)
         self.codec = codec
 
     def dump(self, capture: ExecutionCapture, path: str | os.PathLike) -> Snapshot:
@@ -57,17 +52,16 @@ class SimulatedCriu:
             process_context_bytes=self.profile.process_context_bytes,
         )
         image.write(path)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "persist",
-                "criu:dump",
-                capture.clock_time,
-                track="suspend",
-                image_bytes=image.intermediate_bytes,
-                states=len(image.state_blobs),
-                locals=len(image.local_state_blobs),
-                mid_pipeline=image.current_pipeline,
-            )
+        self.obs.instant(
+            "persist",
+            "criu:dump",
+            capture.clock_time,
+            track="suspend",
+            image_bytes=image.intermediate_bytes,
+            states=len(image.state_blobs),
+            locals=len(image.local_state_blobs),
+            mid_pipeline=image.current_pipeline,
+        )
         return image
 
     def restore(
@@ -92,16 +86,15 @@ class SimulatedCriu:
                 f"configuration: image has {image.meta.num_threads} workers, "
                 f"target has {profile.num_threads}"
             )
-        if self.tracer is not None:
-            self.tracer.instant(
-                "resume",
-                "criu:restore",
-                image.meta.clock_time,
-                track="suspend",
-                image_bytes=image.intermediate_bytes,
-                mid_pipeline=image.current_pipeline,
-                next_morsel=image.next_morsel,
-            )
+        self.obs.instant(
+            "resume",
+            "criu:restore",
+            image.meta.clock_time,
+            track="suspend",
+            image_bytes=image.intermediate_bytes,
+            mid_pipeline=image.current_pipeline,
+            next_morsel=image.next_morsel,
+        )
         return resume
 
     @staticmethod

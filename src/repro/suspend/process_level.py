@@ -11,8 +11,7 @@ and resumption demands an identical resource configuration (§III-A).
 from __future__ import annotations
 
 from repro.engine.profile import HardwareProfile
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.suspend.criu import SimulatedCriu
 from repro.suspend.strategy import SuspensionStrategy
 
@@ -25,15 +24,11 @@ class ProcessLevelStrategy(SuspensionStrategy):
     name = "process"
     file_extension = "image"
 
-    def __init__(
-        self,
-        profile: HardwareProfile,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        codec: str = "raw",
-    ):
-        super().__init__(profile, tracer=tracer, metrics=metrics, codec=codec)
-        self.criu = SimulatedCriu(profile, tracer=tracer, codec=codec)
+    def __init__(self, profile: HardwareProfile, obs: Obs | None = None, codec: str = "raw"):
+        super().__init__(profile, obs=obs, codec=codec)
+        # dump/restore instants are flat ``suspend``-lane events even when
+        # the strategy's persist/reload spans join a query's tree
+        self.criu = SimulatedCriu(profile, obs=self.obs.bound(None), codec=codec)
 
     def _dump(self, capture, path):
         return self.criu.dump(capture, path)

@@ -25,8 +25,7 @@ from repro.engine.executor import ExecutionCapture, QueryExecutor, QueryResult
 from repro.engine.pipeline import Pipeline
 from repro.engine.plan import PlanNode
 from repro.engine.profile import HardwareProfile
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.storage.catalog import Catalog
 from repro.suspend.pipeline_level import PipelineLevelStrategy
 from repro.suspend.process_level import ProcessLevelStrategy
@@ -44,8 +43,7 @@ STAGING_DIR = "uncommitted"
 def make_strategy(
     name: str,
     profile: HardwareProfile,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
+    obs: Obs | None = None,
     config: ExecutionConfig | None = None,
     **options,
 ) -> SuspensionStrategy:
@@ -58,7 +56,7 @@ def make_strategy(
     if name not in strategies:
         raise KeyError(f"unknown strategy {name!r}; expected one of {sorted(strategies)}")
     codec = ExecutionConfig.of(config, **options).codec
-    return strategies[name](profile, tracer=tracer, metrics=metrics, codec=codec)
+    return strategies[name](profile, obs=obs, codec=codec)
 
 
 @dataclass
@@ -95,9 +93,11 @@ class QuerySession:
 
     *strategy* is the strategy every suspension persists through; leave
     it ``None`` to derive it from the first capture's kind (adaptive
-    runs: the kind equals Algorithm 1's choice).  *lifecycle* is bound
-    to the strategy around every persist/reload so their spans join the
-    query's causal tree.  *config* / *options* resolve once, here; every
+    runs: the kind equals Algorithm 1's choice).  *obs* reaches every
+    slice's executor and a derived strategy; bound to the query's
+    lifecycle, persist/reload spans join its causal tree while executor
+    events stay on the flat engine track.  A *strategy* passed in reports
+    through its own handle.  *config* / *options* resolve once, here; every
     slice's ``QueryExecutor`` and a derived strategy get the same object,
     so a snapshot is taken and restored under one execution configuration.
     """
@@ -111,10 +111,7 @@ class QuerySession:
         profile: HardwareProfile,
         strategy: SuspensionStrategy | None = None,
         store: SnapshotStore | None = None,
-        lifecycle=None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        profiler=None,
+        obs: Obs | None = None,
         exchange_inputs: dict | None = None,
         config: ExecutionConfig | None = None,
         **options,
@@ -126,10 +123,7 @@ class QuerySession:
         self.profile = profile
         self.strategy = strategy
         self.store = store
-        self.lifecycle = lifecycle
-        self.tracer = tracer
-        self.metrics = metrics
-        self.profiler = profiler
+        self.obs = Obs.of(obs)
         self.exchange_inputs = exchange_inputs
         self.config = ExecutionConfig.of(config, **options)
         #: last slice's pipelines and plan fingerprint, which the committed
@@ -161,7 +155,6 @@ class QuerySession:
             # Adopted snapshot, no slice run here yet: a never-run executor
             # supplies the pipelines its states deserialize through.
             self._build_executor(None, SimulatedClock(), None)
-        self.strategy.lifecycle = self.lifecycle
         self._loaded = self.strategy.prepare_resume(
             self._committed, self._pipelines, self._fingerprint
         )
@@ -198,9 +191,7 @@ class QuerySession:
             controller=controller,
             query_name=self.query_name,
             resume=resume,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            profiler=self.profiler,
+            obs=self.obs.bound(None),
             exchange_inputs=self.exchange_inputs,
             config=self.config,
         )
@@ -211,13 +202,8 @@ class QuerySession:
         """Write a suspended slice's capture to the staging directory."""
         if self.strategy is None:
             self.strategy = make_strategy(
-                piece.capture.kind,
-                self.profile,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                config=self.config,
+                piece.capture.kind, self.profile, obs=self.obs, config=self.config
             )
-        self.strategy.lifecycle = self.lifecycle
         staging = self.directory / STAGING_DIR
         staging.mkdir(parents=True, exist_ok=True)
         piece.persisted = self.strategy.persist(piece.capture, staging)

@@ -27,8 +27,7 @@ from pathlib import Path
 from repro.engine.executor import ExecutionCapture, ResumeState
 from repro.engine.pipeline import Pipeline
 from repro.engine.profile import HardwareProfile
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.handle import Obs
 from repro.storage import codec as codec_mod
 from repro.storage.codec import CODEC_NAMES, CodecError
 from repro.suspend.controller import SuspensionRequestController
@@ -74,24 +73,15 @@ class SuspensionStrategy:
     #: extension of the file ``persist`` writes
     file_extension: str = "snapshot"
 
-    def __init__(
-        self,
-        profile: HardwareProfile,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        codec: str = "raw",
-    ):
+    def __init__(self, profile: HardwareProfile, obs: Obs | None = None, codec: str = "raw"):
         if codec not in CODEC_NAMES:
             raise CodecError(f"unknown codec {codec!r}; expected one of {CODEC_NAMES}")
         self.profile = profile
-        self.tracer = tracer
-        self.metrics = metrics
-        self.codec = codec
-        #: Optional :class:`~repro.obs.timeline.QueryLifecycle` of the
-        #: query currently being persisted/resumed.  When bound (the
-        #: runner rebinds it per query), persist/reload spans join that
+        #: Built with a handle bound to a query's lifecycle (the runner
+        #: builds one strategy per run), persist/reload spans join that
         #: query's causal tree instead of the flat ``suspend`` track.
-        self.lifecycle = None
+        self.obs = Obs.of(obs)
+        self.codec = codec
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -99,77 +89,46 @@ class SuspensionStrategy:
     # -- observability -------------------------------------------------------
     def _record_persist(self, outcome: SuspendOutcome) -> None:
         """Emit the persist span/counters for *outcome* (no-op untraced)."""
-        if self.lifecycle is not None:
-            self.lifecycle.span(
-                f"persist:{outcome.strategy}",
-                outcome.suspended_at,
-                outcome.suspended_at + outcome.persist_latency,
-                category="persist",
-                strategy=outcome.strategy,
-                bytes=outcome.intermediate_bytes,
-            )
-        elif self.tracer is not None:
-            self.tracer.span(
-                "persist",
-                f"persist:{outcome.strategy}",
-                outcome.suspended_at,
-                outcome.suspended_at + outcome.persist_latency,
-                track="suspend",
-                strategy=outcome.strategy,
-                bytes=outcome.intermediate_bytes,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("suspensions_total", strategy=outcome.strategy).inc()
-            self.metrics.counter(
-                "bytes_persisted_total", strategy=outcome.strategy
-            ).inc(outcome.intermediate_bytes)
-            self.metrics.histogram("persist_latency_seconds").observe(
-                outcome.persist_latency
-            )
-            if outcome.raw_bytes is not None and outcome.codec != "raw":
-                self.metrics.counter(
-                    "codec_raw_bytes_total", codec=outcome.codec
-                ).inc(outcome.raw_bytes)
-                self.metrics.counter(
-                    "codec_encoded_bytes_total", codec=outcome.codec
-                ).inc(outcome.intermediate_bytes)
+        obs = self.obs
+        obs.span(
+            "persist",
+            f"persist:{outcome.strategy}",
+            outcome.suspended_at,
+            outcome.suspended_at + outcome.persist_latency,
+            track="suspend",
+            strategy=outcome.strategy,
+            bytes=outcome.intermediate_bytes,
+        )
+        obs.count("suspensions_total", strategy=outcome.strategy)
+        obs.count("bytes_persisted_total", outcome.intermediate_bytes, strategy=outcome.strategy)
+        obs.observe("persist_latency_seconds", outcome.persist_latency)
+        if outcome.raw_bytes is not None and outcome.codec != "raw":
+            obs.count("codec_raw_bytes_total", outcome.raw_bytes, codec=outcome.codec)
+            obs.count("codec_encoded_bytes_total", outcome.intermediate_bytes, codec=outcome.codec)
 
     def _record_reload(self, outcome: ResumeOutcome, start: float, nbytes: int) -> None:
         """Emit the reload span/counters starting at virtual time *start*."""
-        if self.lifecycle is not None:
-            self.lifecycle.span(
-                f"reload:{outcome.strategy}",
-                start,
-                start + outcome.reload_latency,
-                category="resume",
-                strategy=outcome.strategy,
-                bytes=nbytes,
-            )
-        elif self.tracer is not None:
-            self.tracer.span(
-                "resume",
-                f"reload:{outcome.strategy}",
-                start,
-                start + outcome.reload_latency,
-                track="suspend",
-                strategy=outcome.strategy,
-                bytes=nbytes,
-            )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "bytes_reloaded_total", strategy=outcome.strategy
-            ).inc(nbytes)
-            self.metrics.histogram("reload_latency_seconds").observe(
-                outcome.reload_latency
-            )
+        self.obs.span(
+            "resume",
+            f"reload:{outcome.strategy}",
+            start,
+            start + outcome.reload_latency,
+            track="suspend",
+            strategy=outcome.strategy,
+            bytes=nbytes,
+        )
+        self.obs.count("bytes_reloaded_total", nbytes, strategy=outcome.strategy)
+        self.obs.observe("reload_latency_seconds", outcome.reload_latency)
 
     def make_request_controller(self, request_time: float) -> SuspensionRequestController | None:
         """Controller that triggers this strategy's suspension.
 
-        Returns ``None`` for strategies that never suspend (redo).
+        Returns ``None`` for strategies that never suspend (redo).  The
+        controller reports on the flat handle: the gap between its request
+        and suspend instants is the Fig. 9 lag, read off one ``suspend`` lane.
         """
         return SuspensionRequestController(
-            request_time, mode=self.name, tracer=self.tracer, metrics=self.metrics
+            request_time, mode=self.name, obs=self.obs.bound(None)
         )
 
     def _dump(self, capture: ExecutionCapture, path: Path) -> Snapshot:

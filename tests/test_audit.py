@@ -15,6 +15,7 @@ from repro.obs.audit import (
     replay_journal,
     resolve_adaptive_action,
 )
+from repro.obs.handle import Obs
 from repro.suspend.store import SnapshotStore
 from repro.tpch import build_query
 
@@ -31,7 +32,7 @@ def _adaptive_journal(catalog, profile, directory, queries, kill_fraction=0.9):
     journal = DecisionJournal()
     store = SnapshotStore(directory / "store")
     runner = QueryRunner(
-        catalog, profile, snapshot_dir=directory, journal=journal, store=store
+        catalog, profile, snapshot_dir=directory, obs=Obs(journal=journal), store=store
     )
     estimator = OptimizerSizeEstimator(catalog)
     for query in queries:
@@ -43,7 +44,7 @@ def _adaptive_journal(catalog, profile, directory, queries, kill_fraction=0.9):
             termination=termination,
             process_size_estimator=lambda f, p=plan: estimator.estimate_bytes(p, f),
             estimated_total_time=normal,
-            journal=journal,
+            obs=runner.obs,
             estimator_label="optimizer",
         )
         runner.run_adaptive(plan, query, selector, normal, termination.t_end * kill_fraction)
@@ -61,7 +62,7 @@ class TestJournal:
 
     def test_kinds_cover_the_deliberation_lifecycle(self):
         for required in ("decision", "action", "suspend", "resume", "outcome",
-                         "termination", "counterfactual", "placement", "request"):
+                         "termination", "counterfactual", "placement"):
             assert required in AUDIT_KINDS
 
     def test_jsonl_round_trip_is_byte_identical(self):
@@ -144,7 +145,7 @@ class TestJournalDurability:
         journal = DecisionJournal()
         store = SnapshotStore(tmp_path / "store", incremental=incremental)
         runner = QueryRunner(
-            tpch_tiny, profile, snapshot_dir=tmp_path, journal=journal, store=store
+            tpch_tiny, profile, snapshot_dir=tmp_path, obs=Obs(journal=journal), store=store
         )
         plan = build_query("Q3")
         normal = runner.measure_normal(plan, "Q3").stats.duration
@@ -162,7 +163,7 @@ class TestJournalDurability:
             assert outcome.suspended
             assert {"suspend", "resume"} <= kinds
         # The persisted history keeps numbering monotonic on resume.
-        appended = loaded.append("request", "Q3", normal)
+        appended = loaded.append("counterfactual", "Q3", normal)
         assert appended.seq == max(r.seq for r in journal.records) + 1
 
     def test_missing_journal_loads_none(

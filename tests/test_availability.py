@@ -9,6 +9,7 @@ from repro.cloud.availability import (
 )
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy, RedoStrategy
 from repro.tpch import build_query
@@ -128,7 +129,7 @@ class TestIntermittentExecution:
         metrics = MetricsRegistry()
         normal = self._normal(tpch_tiny, "Q17", profile)
         runner = IntermittentRunner(
-            tpch_tiny, PipelineLevelStrategy(profile, metrics=metrics),
+            tpch_tiny, PipelineLevelStrategy(profile, obs=Obs(metrics=metrics)),
             profile=profile, snapshot_dir=tmp_path, morsel_size=1024,
         )
         trace = AvailabilityTrace.periodic(normal.stats.duration * 0.6, 10.0, 12)

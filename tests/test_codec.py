@@ -217,12 +217,12 @@ def test_pipeline_codec_shrinks_persisted_bytes(tpch_tiny, tmp_path):
 
 
 def test_codec_metrics_emitted(tpch_tiny, tmp_path):
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs import MetricsRegistry, Obs
 
     metrics = MetricsRegistry()
     profile = HardwareProfile()
     normal = run_normal(tpch_tiny, "Q1")
-    strategy = PipelineLevelStrategy(profile, metrics=metrics, codec="adaptive")
+    strategy = PipelineLevelStrategy(profile, obs=Obs(metrics=metrics), codec="adaptive")
     _, capture, _ = suspend(
         tpch_tiny, "Q1", strategy, 0.5, normal.stats.duration, profile=profile
     )

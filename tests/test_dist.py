@@ -22,6 +22,7 @@ from repro.dist import (
 from repro.dist.partition import hash_shard, range_boundaries, range_shard
 from repro.engine.executor import QueryExecutor
 from repro.obs.audit import DecisionJournal
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.optimizer import optimize_plan
@@ -185,7 +186,7 @@ class TestNearDataPushdown:
             sharded, _optimized(tpch_tiny, "Q6"), journal=journal, query_name="Q6"
         )
         result = Coordinator(
-            sharded, tracer=tracer, metrics=metrics, select_operators=True
+            sharded, obs=Obs(tracer=tracer, metrics=metrics), select_operators=True
         ).run(dist, "Q6")
         counter = metrics.counter("exchange_bytes_shuffled_total", mode="gather")
         assert counter.value == result.bytes_shuffled > 0
@@ -207,7 +208,7 @@ class TestPerShardSuspension:
             "Q12",
             2,
             suspend=ShardSuspension(strategy=strategy, suspend_at=0.5),
-            journal=journal,
+            obs=Obs(journal=journal),
             store=store,
             snapshot_dir=tmp_path,
         )

@@ -8,6 +8,7 @@ from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
 from repro.engine.explain import explain_analyze
 from repro.harness.report import format_operator_breakdown
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.suspend.pipeline_level import PipelineLevelStrategy
@@ -78,7 +79,7 @@ class TestRendering:
         tracer = Tracer()
         plan = build_query("Q3")
         normal = QueryExecutor(tpch_tiny, plan, query_name="Q3").run()
-        strategy = PipelineLevelStrategy(profile, tracer=tracer, metrics=MetricsRegistry())
+        strategy = PipelineLevelStrategy(profile, obs=Obs(tracer=tracer, metrics=MetricsRegistry()))
         controller = strategy.make_request_controller(normal.stats.duration * 0.5)
         executor = QueryExecutor(
             tpch_tiny, plan, controller=controller, query_name="Q3", tracer=tracer

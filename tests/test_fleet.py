@@ -18,6 +18,7 @@ from repro.fleet.slo import dollars_for_slices, latency_stats, percentile
 from repro.fleet.workload import TENANT_CLASSES
 from repro.cloud.environment import PriceTrace
 from repro.obs.audit import DecisionJournal
+from repro.obs.handle import Obs
 from repro.obs.export import schedule_to_chrome, validate_chrome_trace
 
 
@@ -49,12 +50,12 @@ def run_fleet(
         admission=AdmissionController(
             max_queue_depth=queue_depth,
             memory_budget_bytes=memory_budget,
-            journal=journal,
+            obs=Obs(journal=journal),
         ),
         snapshot_dir=tmp_path / f"snap-{policy}-{seed}",
         mean_on_seconds=mean_on,
         mean_off_seconds=mean_off,
-        journal=journal,
+        obs=Obs(journal=journal),
     )
     return cluster.run(arrivals, duration)
 
@@ -147,7 +148,7 @@ class TestAdmission:
 
     def test_journal_records_verdicts(self):
         journal = DecisionJournal()
-        controller = AdmissionController(max_queue_depth=1, journal=journal)
+        controller = AdmissionController(max_queue_depth=1, obs=Obs(journal=journal))
         controller.admit(self.arrival(), queue_depth=0)
         controller.admit(self.arrival(name="x:001:Q6"), queue_depth=1)
         kinds = [(r.payload["admitted"]) for r in journal.by_kind("admission")]

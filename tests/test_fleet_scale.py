@@ -17,6 +17,7 @@ from repro.fleet import (
 )
 from repro.fleet.workload import workload_to_jsonl
 from repro.obs.audit import DecisionJournal
+from repro.obs.handle import Obs
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +211,11 @@ def run_default_fleet(catalog, tmp_path, fidelity, seed=7):
         make_policy("suspend-aware"),
         workers=2,
         seed=seed,
-        admission=AdmissionController(max_queue_depth=8, journal=journal),
+        admission=AdmissionController(max_queue_depth=8, obs=Obs(journal=journal)),
         snapshot_dir=tmp_path / f"snap-{fidelity}",
         mean_on_seconds=180.0,
         mean_off_seconds=30.0,
-        journal=journal,
+        obs=Obs(journal=journal),
         fidelity=fidelity,
     )
     arrivals = generate_workload(make_tenants(3, seed), 600.0, seed)

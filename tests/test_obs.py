@@ -19,6 +19,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACE_CATEGORIES, TraceEvent, Tracer
 from repro.suspend.controller import (
@@ -177,7 +178,7 @@ def _run_with_suspension(catalog, strategy, query="Q3", fraction=0.5, tracer=Non
     controller = strategy.make_request_controller(normal.stats.duration * fraction)
     executor = QueryExecutor(
         catalog, plan, controller=controller, query_name=query,
-        tracer=tracer, metrics=strategy.metrics,
+        tracer=tracer, metrics=strategy.obs.metrics,
     )
     with pytest.raises(QuerySuspended) as excinfo:
         executor.run()
@@ -201,12 +202,12 @@ class TestInstrumentation:
 
     def test_tracing_is_off_by_default(self, tpch_tiny):
         executor = QueryExecutor(tpch_tiny, build_query("Q6"), query_name="Q6")
-        assert executor.tracer is None and executor.metrics is None
+        assert executor.obs is Obs.NONE
         executor.run()  # no tracer to fill; just must not crash
 
     def test_persist_reload_pair_matches_snapshot_bytes(self, tpch_tiny, tmp_path, profile):
         tracer, metrics = Tracer(), MetricsRegistry()
-        strategy = PipelineLevelStrategy(profile, tracer=tracer, metrics=metrics)
+        strategy = PipelineLevelStrategy(profile, obs=Obs(tracer=tracer, metrics=metrics))
         executor, suspended, _ = _run_with_suspension(tpch_tiny, strategy, tracer=tracer)
         outcome = strategy.persist(suspended.capture, tmp_path)
         strategy.prepare_resume(
@@ -227,7 +228,7 @@ class TestInstrumentation:
 
     def test_process_level_emits_criu_events(self, tpch_tiny, tmp_path, profile):
         tracer, metrics = Tracer(), MetricsRegistry()
-        strategy = ProcessLevelStrategy(profile, tracer=tracer, metrics=metrics)
+        strategy = ProcessLevelStrategy(profile, obs=Obs(tracer=tracer, metrics=metrics))
         executor, suspended, _ = _run_with_suspension(tpch_tiny, strategy, tracer=tracer)
         outcome = strategy.persist(suspended.capture, tmp_path)
         strategy.prepare_resume(
@@ -240,7 +241,7 @@ class TestInstrumentation:
 
     def test_suspend_resume_completes_with_matching_rows(self, tpch_tiny, tmp_path, profile):
         tracer = Tracer()
-        strategy = PipelineLevelStrategy(profile, tracer=tracer, metrics=MetricsRegistry())
+        strategy = PipelineLevelStrategy(profile, obs=Obs(tracer=tracer, metrics=MetricsRegistry()))
         executor, suspended, normal = _run_with_suspension(tpch_tiny, strategy, tracer=tracer)
         outcome = strategy.persist(suspended.capture, tmp_path)
         resumed = strategy.prepare_resume(
@@ -281,7 +282,7 @@ class TestControllers:
 
     def test_request_controller_records_request_and_suspend(self, tpch_tiny, profile):
         tracer, metrics = Tracer(), MetricsRegistry()
-        strategy = PipelineLevelStrategy(profile, tracer=tracer, metrics=metrics)
+        strategy = PipelineLevelStrategy(profile, obs=Obs(tracer=tracer, metrics=metrics))
         _run_with_suspension(tpch_tiny, strategy, tracer=tracer)
         suspend_events = tracer.by_category("suspend")
         names = [e.name for e in suspend_events]
@@ -425,7 +426,7 @@ class TestScheduleExport:
 
         journal = DecisionJournal()
         scheduler = SuspensionScheduler(
-            tpch_tiny, profile, snapshot_dir=tmp_path / "sched", journal=journal
+            tpch_tiny, profile, snapshot_dir=tmp_path / "sched", obs=Obs(journal=journal)
         )
         report = scheduler.run_preemptive(
             [

@@ -6,6 +6,7 @@ from repro.cloud.environment import PriceTrace
 from repro.cloud.pricing import PriceAwareRunner
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.tpch import build_query
 
@@ -123,7 +124,8 @@ class TestBudgetedExecution:
 
     def test_busy_time_and_dollars_include_every_reload(self, tpch_tiny, pipeline_runner):
         """Resuming is not free: each slice pays its reload (paper Eq. 3)."""
-        metrics = pipeline_runner.strategy.metrics = MetricsRegistry()
+        metrics = MetricsRegistry()
+        pipeline_runner.strategy.obs = Obs(metrics=metrics)
         normal = QueryExecutor(tpch_tiny, build_query("Q3"), profile=HardwareProfile()).run()
         outcome = pipeline_runner.run_budgeted(build_query("Q3"), "Q3")
         reloads = metrics.histogram("reload_latency_seconds")

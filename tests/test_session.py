@@ -28,6 +28,7 @@ from repro.engine.controller import Action, ExecutionController
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
 from repro.fleet import FleetCluster, fleet_report, make_policy, make_tenants, generate_workload
+from repro.obs.handle import Obs
 from repro.optimizer import OptimizerFlags
 from repro.suspend import (
     CompositeController,
@@ -212,7 +213,7 @@ def _cli(catalog, plan, normal, directory):
     )
     config = _execution_config(args, OptimizerFlags())
     result = _execute(
-        catalog, plan, "Q9", HardwareProfile(), args, config, None, None, verbose=False
+        catalog, plan, "Q9", HardwareProfile(), args, config, Obs.NONE, verbose=False
     )
     return result, len(list(Path(directory).glob("Q9.*")))
 

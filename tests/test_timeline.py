@@ -19,6 +19,7 @@ from repro.fleet import (
 from repro.obs.audit import DecisionJournal
 from repro.obs.dashboard import render_report, sparkline
 from repro.obs.export import counter_track_events, trace_to_chrome, validate_chrome_trace
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import (
     TIMELINE_FORMAT,
@@ -49,7 +50,7 @@ class TestDeriveIds:
 class TestQueryLifecycle:
     def test_root_spans_arrival_to_finish(self):
         recorder = TimelineRecorder()
-        lifecycle = QueryLifecycle("q", 5.0, recorder=recorder, tenant="t0")
+        lifecycle = QueryLifecycle("q", 5.0, Obs(recorder=recorder), tenant="t0")
         lifecycle.finish(9.0, outcome="done")
         (root,) = recorder.spans
         assert root["span_id"] == lifecycle.root_id
@@ -60,7 +61,7 @@ class TestQueryLifecycle:
 
     def test_instants_default_to_current_slice_then_root(self):
         recorder = TimelineRecorder()
-        lifecycle = QueryLifecycle("q", 0.0, recorder=recorder)
+        lifecycle = QueryLifecycle("q", 0.0, Obs(recorder=recorder))
         outside = lifecycle.instant("admission", 0.0)
         slice_id = lifecycle.begin_slice()
         inside = lifecycle.instant("decision", 1.0)
@@ -75,7 +76,7 @@ class TestQueryLifecycle:
 
     def test_flush_segments_tiles_and_parents_to_root(self):
         recorder = TimelineRecorder()
-        lifecycle = QueryLifecycle("q", 0.0, recorder=recorder)
+        lifecycle = QueryLifecycle("q", 0.0, Obs(recorder=recorder))
         segments = [
             {"phase": "queued", "start": 0.0, "end": 1.0},
             {"phase": "run", "start": 1.0, "end": 3.0, "worker": 1},
@@ -101,7 +102,7 @@ class TestQueryLifecycle:
 
     def test_mirrors_into_tracer(self):
         tracer = Tracer()
-        lifecycle = QueryLifecycle("q", 0.0, tracer=tracer)
+        lifecycle = QueryLifecycle("q", 0.0, Obs(tracer=tracer))
         lifecycle.span("run", 0.0, 1.0)
         lifecycle.finish(1.0)
         assert len(tracer) == 2
@@ -147,7 +148,7 @@ class TestTimelineRecorder:
         recorder = TimelineRecorder(window_seconds=5.0)
         recorder.set_meta(policy="fifo", seed=3)
         recorder.sample("depth", 2.0, 1.0)
-        lifecycle = QueryLifecycle("q", 0.0, recorder=recorder)
+        lifecycle = QueryLifecycle("q", 0.0, Obs(recorder=recorder))
         lifecycle.finish(1.0)
         recorder.add_completion({"name": "q", "latency": 1.0})
         recorder.add_alert({"ts": 1.0, "tenant_class": "batch"})
@@ -252,7 +253,7 @@ class TestSLOMonitor:
         metrics = MetricsRegistry()
         tracer = Tracer()
         monitor = SLOMonitor(
-            tracer=tracer, journal=journal, metrics=metrics, recorder=recorder
+            obs=Obs(tracer=tracer, journal=journal, metrics=metrics, recorder=recorder)
         )
         monitor.observe("batch", 5.0, False, query="q1")
         assert recorder.alerts and recorder.alerts[0]["tenant_class"] == "batch"
@@ -288,26 +289,24 @@ def run_fleet_with_timeline(catalog, tmp_path, seed=7, tenants=3, duration=600.0
     metrics = MetricsRegistry()
     journal = DecisionJournal()
     recorder = TimelineRecorder()
-    slo = SLOMonitor(tracer=tracer, journal=journal, metrics=metrics,
-                     recorder=recorder)
+    obs = Obs(tracer=tracer, journal=journal, metrics=metrics, recorder=recorder)
     cluster = FleetCluster(
         catalog,
         make_policy(policy),
         workers=2,
         seed=seed,
-        admission=AdmissionController(max_queue_depth=8, journal=journal),
+        admission=AdmissionController(
+            max_queue_depth=8, obs=Obs(tracer=tracer, journal=journal)
+        ),
         snapshot_dir=tmp_path / f"snap-{seed}",
         mean_on_seconds=mean_on,
         mean_off_seconds=mean_off,
-        tracer=tracer,
-        metrics=metrics,
-        journal=journal,
-        recorder=recorder,
-        slo=slo,
+        obs=obs,
+        slo=SLOMonitor(obs=obs),
     )
     result = cluster.run(arrivals, duration)
     record_fleet_timeline(recorder, result)
-    return result, recorder, tracer, slo
+    return result, recorder, tracer, cluster.slo
 
 
 class TestFleetTimeline:

@@ -6,23 +6,15 @@
    consume their builds.
 2. **Morsel size** — the process-level suspension granularity: finer
    morsels give earlier suspension points at (bounded) overhead.
-3. **Data-level strategy (§VI)** — batch-mode execution vs pipeline-level
-   suspension for a distributive aggregate.
 """
 
-import numpy as np
 import pytest
 
-from repro.engine.clock import SimulatedClock
 from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
-from repro.engine.expressions import col
-from repro.engine.operators.aggregate import AggFunc, AggSpec
-from repro.engine.plan import Aggregate, Project, TableScan
 from repro.engine.profile import HardwareProfile
 from repro.harness.report import format_bytes, format_table
 from repro.suspend import PipelineLevelStrategy
-from repro.suspend.data_level import DataLevelExecutor, key_range_partitions
 from repro.tpch import build_query
 from repro.tpch.dbgen import generate_catalog
 
@@ -101,142 +93,3 @@ def test_ablation_morsel_size_suspension_granularity(benchmark, catalog):
     print("\nAblation — process-level suspension lag vs morsel size (Q1 @50%)")
     print(format_table(["morsel size", "lag (s)"], [[k, f"{v:.4f}"] for k, v in lags.items()]))
     assert lags[2048] <= lags[65536] + 1e-9
-
-
-def test_ablation_watermark_vs_process_level(benchmark, catalog, tmp_path):
-    """§VI watermark persistence vs a process image at the same moment.
-
-    Aggregating lineitem pre-sorted by ``l_orderkey``: the watermark
-    strategy persists finalized groups plus one cursor instead of the
-    full process memory.
-    """
-    import numpy as np
-
-    from repro.engine.types import DataType
-    from repro.storage import Catalog, Table
-    from repro.suspend import ProcessLevelStrategy, SuspensionRequestController
-    from repro.suspend.watermark import WatermarkAggregation
-
-    li = catalog.get("lineitem")
-    order = np.argsort(li.array("l_orderkey"), kind="stable")
-    sorted_catalog = Catalog()
-    sorted_catalog.register(
-        Table.from_pairs(
-            "lineitem_sorted",
-            [
-                ("l_orderkey", DataType.INT64, li.array("l_orderkey")[order]),
-                ("l_quantity", DataType.FLOAT64, li.array("l_quantity")[order]),
-            ],
-        )
-    )
-
-    def measure():
-        profile = HardwareProfile()
-        aggregation = WatermarkAggregation(
-            sorted_catalog,
-            "lineitem_sorted",
-            "l_orderkey",
-            [AggSpec("qty", AggFunc.SUM, "l_quantity")],
-            profile=profile,
-            morsel_size=4096,
-        )
-        full = aggregation.run()
-        suspended = aggregation.run(request_time=full.clock_time * 0.5)
-        assert suspended.snapshot is not None
-        resumed = aggregation.run(resume_from=suspended.snapshot)
-        assert resumed.result.num_rows == full.result.num_rows
-
-        # Same aggregation on the push engine suspended process-level.
-        plan = Aggregate(
-            TableScan("lineitem_sorted", ["l_orderkey", "l_quantity"]),
-            ["l_orderkey"],
-            [AggSpec("qty", AggFunc.SUM, "l_quantity")],
-        )
-        normal = QueryExecutor(sorted_catalog, plan, profile=profile).run()
-        controller = SuspensionRequestController(normal.stats.duration * 0.5, mode="process")
-        executor = QueryExecutor(
-            sorted_catalog, plan, profile=profile, controller=controller
-        )
-        try:
-            executor.run()
-            raise AssertionError("expected process suspension")
-        except QuerySuspended as exc:
-            process_bytes = ProcessLevelStrategy(profile).persist(
-                exc.capture, tmp_path
-            ).intermediate_bytes
-        return suspended.snapshot.intermediate_bytes, process_bytes
-
-    watermark_bytes, process_bytes = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print("\nAblation — watermark (§VI) vs process-level persisted bytes @50%")
-    print(
-        format_table(
-            ["strategy", "bytes"],
-            [["watermark + finalized groups", format_bytes(watermark_bytes)],
-             ["process image", format_bytes(process_bytes)]],
-        )
-    )
-    assert watermark_bytes * 2 < process_bytes
-
-
-def test_ablation_data_level_vs_pipeline_level(benchmark, catalog):
-    """§VI data-level strategy vs pipeline-level on a distributive SUM."""
-
-    def q6_style(lo=None, hi=None):
-        predicate = col("l_orderkey").between(lo, hi) if lo is not None else None
-        scan = TableScan(
-            "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"], predicate=predicate
-        )
-        projected = Project(scan, [("rev", col("l_extendedprice") * col("l_discount"))])
-        return Aggregate(projected, [], [AggSpec("revenue", AggFunc.SUM, "rev")])
-
-    def merge_plan(batch_table):
-        return Aggregate(
-            TableScan(batch_table, ["revenue"]),
-            [],
-            [AggSpec("revenue", AggFunc.SUM, "revenue")],
-        )
-
-    def run_both():
-        # Pipeline-level: one suspension mid-run.
-        profile = HardwareProfile()
-        plan = q6_style()
-        normal = QueryExecutor(catalog, plan, profile=profile).run()
-        strategy = PipelineLevelStrategy(profile)
-        controller = strategy.make_request_controller(normal.stats.duration * 0.5)
-        executor = QueryExecutor(catalog, plan, profile=profile, controller=controller)
-        pipeline_bytes = None
-        try:
-            executor.run()
-        except QuerySuspended as exc:
-            pipeline_bytes = sum(
-                len(s.serialize()) for s in exc.capture.live_states().values()
-            )
-        # Data-level: suspension at a batch boundary.
-        data_executor = DataLevelExecutor(
-            catalog,
-            plan_for=q6_style,
-            merge_plan_for=merge_plan,
-            partitions=key_range_partitions(catalog, "lineitem", "l_orderkey", 8),
-            profile=profile,
-            query_name="q6-style",
-        )
-        suspended = data_executor.run(clock=SimulatedClock(), request_time=0.01)
-        data_bytes = suspended.snapshot.intermediate_bytes if suspended.snapshot else 0
-        resumed = data_executor.run(resume_from=suspended.snapshot)
-        oracle = QueryExecutor(catalog, plan, profile=profile).run()
-        assert resumed.result.column("revenue")[0] == pytest.approx(
-            float(oracle.chunk.column("revenue")[0])
-        )
-        return pipeline_bytes, data_bytes
-
-    pipeline_bytes, data_bytes = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    print("\nAblation — persisted bytes: data-level vs pipeline-level (distributive SUM)")
-    print(
-        format_table(
-            ["strategy", "bytes"],
-            [["pipeline-level", format_bytes(pipeline_bytes or 0)],
-             ["data-level (§VI)", format_bytes(data_bytes)]],
-        )
-    )
-    # Both persist tiny aggregated state for a distributive aggregate.
-    assert data_bytes < 64 * 1024

@@ -9,8 +9,8 @@ provides:
 * :mod:`repro.storage` — the columnar storage substrate;
 * :mod:`repro.tpch` — a deterministic TPC-H data generator and plan
   builders for all 22 queries;
-* :mod:`repro.suspend` — the redo, pipeline-level, process-level (and
-  extension data-level) suspension strategies plus a simulated CRIU;
+* :mod:`repro.suspend` — the redo, pipeline-level and process-level
+  suspension strategies plus a simulated CRIU;
 * :mod:`repro.costmodel` — the cost model and Algorithm 1 strategy
   selection;
 * :mod:`repro.iterator` — a pull-based executor with operator-level

@@ -7,9 +7,7 @@ Orchestrates the interplay the paper evaluates in §IV-B:
   termination may kill the query before the suspension completes;
 * **adaptive runs** (Fig. 11, Table III, Fig. 12): Algorithm 1 is
   evaluated at pipeline breakers as the window approaches and the chosen
-  strategy is executed;
-* **multi-suspension runs** (§VI extension): a sequence of suspension
-  requests across one execution.
+  strategy is executed.
 
 The runner measures *busy time* — execution plus suspension/resumption
 work, excluding the suspended away-gap — so ``overhead = busy − normal``
@@ -250,7 +248,7 @@ class QueryRunner:
             RunOutcome(query_name, strategy_name, normal_time, 0.0, termination_time=termination_time),
             obs,
             strategy,
-            [CompositeController(controllers)],
+            CompositeController(controllers),
         )
 
     # -- adaptive ---------------------------------------------------------------
@@ -269,33 +267,8 @@ class QueryRunner:
             RunOutcome(query_name, "adaptive", normal_time, 0.0, termination_time=termination_time),
             self._open(query_name, "adaptive"),
             None,
-            [CompositeController([TerminationController(termination_time), adaptive])],
+            CompositeController([TerminationController(termination_time), adaptive]),
             adaptive,
-        )
-
-    # -- multi-suspension (§VI extension) -----------------------------------------
-    def run_multi_suspension(
-        self,
-        plan: PlanNode,
-        query_name: str,
-        strategy_name: str,
-        normal_time: float,
-        request_times: list[float],
-    ) -> RunOutcome:
-        """Suspend and resume repeatedly at the given per-segment times.
-
-        Each request time is relative to its own execution segment;
-        latency grows roughly linearly with the number of suspensions
-        (the proportionality the paper notes in §VI).
-        """
-        obs = self._open(query_name, strategy_name)
-        strategy = make_strategy(strategy_name, self.profile, obs=obs, config=self.config)
-        return self._drive(
-            plan,
-            RunOutcome(query_name, strategy_name, normal_time, 0.0),
-            obs,
-            strategy,
-            [strategy.make_request_controller(at) for at in request_times],
         )
 
     # -- internals -------------------------------------------------------------
@@ -326,10 +299,10 @@ class QueryRunner:
         outcome: RunOutcome,
         obs: Obs,
         strategy: SuspensionStrategy | None,
-        controllers: list[ExecutionController | None],
+        controller: ExecutionController | None,
         adaptive: AdaptiveController | None = None,
     ) -> RunOutcome:
-        """The one run loop: a slice per controller, then threat-free slices.
+        """The one run loop: a slice under *controller*, then threat-free ones.
 
         Busy time keeps clock origin 0 per slice and accumulates
         ``persist end + reload + slice clock`` left to right.  The kill
@@ -342,10 +315,10 @@ class QueryRunner:
         """
         query_name = outcome.query_name
         session = self._session(plan, query_name, obs, strategy)
-        pending = list(controllers)
         while True:
             base = outcome.busy_time
-            piece = session.run_slice(pending.pop(0) if pending else None)
+            piece = session.run_slice(controller)
+            controller = None
             if adaptive is not None:
                 outcome.decision = adaptive.decision
                 if adaptive.decision is not None:

@@ -6,7 +6,6 @@ from repro.suspend.controller import (
     TerminationController,
 )
 from repro.suspend.criu import CriuError, SimulatedCriu
-from repro.suspend.data_level import DataLevelExecutor, DataLevelSnapshot
 from repro.suspend.pipeline_level import PipelineLevelStrategy
 from repro.suspend.process_level import ProcessLevelStrategy
 from repro.suspend.redo import RedoStrategy
@@ -21,8 +20,6 @@ __all__ = [
     "TerminationController",
     "CriuError",
     "SimulatedCriu",
-    "DataLevelExecutor",
-    "DataLevelSnapshot",
     "PipelineLevelStrategy",
     "ProcessLevelStrategy",
     "RedoStrategy",

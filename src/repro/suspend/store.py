@@ -287,10 +287,11 @@ class SnapshotStore:
 
         Journals are never pruned with snapshots — a resumed query keeps
         its full decision history even after old snapshot files rotate out.
+        Published like the manifest, so a failed save keeps the previous one.
         """
         file_name = f"{query_name}.journal.jsonl"
         path = Path(self.directory) / file_name
-        journal.write_jsonl(path)
+        _publish(path, journal.to_jsonl())
         self._journals[query_name] = file_name
         self._save()
         return path
@@ -366,11 +367,8 @@ class SnapshotStore:
         self._retained = still_retained
 
     def _save(self) -> None:
-        """Publish the manifest by rename, so a failed write leaves the
-        previous one in place."""
-        manifest = Path(self.directory) / _MANIFEST
-        staging = manifest.with_name(_MANIFEST + ".tmp")
-        staging.write_text(
+        _publish(
+            Path(self.directory) / _MANIFEST,
             json.dumps(
                 {
                     "next_sequence": self._next_sequence,
@@ -379,6 +377,13 @@ class SnapshotStore:
                     "journals": dict(sorted(self._journals.items())),
                 },
                 indent=2,
-            )
+            ),
         )
-        os.replace(staging, manifest)
+
+
+def _publish(path: Path, text: str) -> None:
+    """Write *text* to a ``.tmp`` sibling and rename it over *path*, so a
+    failed write leaves the previous file in place."""
+    staging = path.with_name(path.name + ".tmp")
+    staging.write_text(text, encoding="utf-8")
+    os.replace(staging, path)

@@ -1,4 +1,4 @@
-"""QueryRunner semantics: forced strategies, adaptive mode, multi-suspension."""
+"""QueryRunner semantics: forced strategies and adaptive mode."""
 
 import pytest
 
@@ -144,28 +144,6 @@ class TestAdaptive:
         )
         assert not outcome.terminated
         assert outcome.result is not None
-
-
-class TestMultiSuspension:
-    def test_two_suspensions_roughly_double_overhead(self, runner, q3_normal):
-        normal_time = q3_normal.stats.duration
-        single = runner.run_multi_suspension(
-            build_query("Q3"), "Q3", "pipeline", normal_time, [normal_time * 0.3]
-        )
-        double = runner.run_multi_suspension(
-            build_query("Q3"), "Q3", "pipeline", normal_time,
-            [normal_time * 0.3, normal_time * 0.2],
-        )
-        assert_chunks_equal(q3_normal.chunk, double.result.chunk)
-        assert double.persist_latency >= single.persist_latency
-
-    def test_zero_requests_is_normal_run(self, runner, q3_normal):
-        normal_time = q3_normal.stats.duration
-        outcome = runner.run_multi_suspension(
-            build_query("Q3"), "Q3", "pipeline", normal_time, []
-        )
-        assert not outcome.suspended
-        assert outcome.overhead == pytest.approx(0.0, abs=1e-6)
 
 
 class TestEnvironment:

@@ -175,14 +175,6 @@ def _runner_adaptive(catalog, plan, normal, directory):
     return outcome.result, int(outcome.suspended)
 
 
-def _runner_multi(catalog, plan, normal, directory):
-    runner = QueryRunner(catalog, snapshot_dir=directory, morsel_size=MORSEL)
-    outcome = runner.run_multi_suspension(
-        plan, "Q9", "process", normal, [normal * 0.2, normal * 0.2, normal * 0.2]
-    )
-    return outcome.result, int(outcome.suspended)
-
-
 def _intermittent(catalog, plan, normal, directory):
     profile = HardwareProfile()
     runner = IntermittentRunner(
@@ -221,7 +213,7 @@ def _cli(catalog, plan, normal, directory):
 class TestEveryDriver:
     @pytest.mark.parametrize(
         "drive",
-        [_runner_forced, _runner_adaptive, _runner_multi, _intermittent, _price_aware, _cli],
+        [_runner_forced, _runner_adaptive, _intermittent, _price_aware, _cli],
     )
     def test_returns_the_uninterrupted_result(self, tpch_tiny, uninterrupted, tmp_path, drive):
         normal = uninterrupted["Q9"]

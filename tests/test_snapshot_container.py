@@ -18,6 +18,7 @@ import pytest
 from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
+from repro.obs.audit import DecisionJournal
 from repro.optimizer import optimize_plan
 from repro.suspend import (
     PipelineLevelStrategy,
@@ -304,6 +305,38 @@ class TestManifest:
         assert (tmp_path / "store" / "manifest.json").read_bytes() == before
         reopened = SnapshotStore(tmp_path / "store")
         assert reopened.records("Q3") == [record]
+
+    @pytest.mark.parametrize("failure", ["torn write", "unserializable record"])
+    def test_failed_journal_save_leaves_previous_journal_readable(
+        self, tmp_path, monkeypatch, failure
+    ):
+        store = SnapshotStore(tmp_path / "store")
+        journal = DecisionJournal()
+        journal.append("suspend", "Q3", 1.0, strategy="pipeline")
+        journal.append("resume", "Q3", 2.0, strategy="pipeline")
+        store.save_journal("Q3", journal)
+        before = store.load_journal("Q3").records
+        assert len(before) == 2
+
+        if failure == "torn write":
+            journal.append("outcome", "Q3", 3.0, strategy="pipeline")
+            real_write_text = Path.write_text
+
+            def torn_write(self, data, *args, **kwargs):
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+
+            monkeypatch.setattr(Path, "write_text", torn_write)
+            expected = OSError
+        else:
+            journal.append("outcome", "Q3", 3.0, strategy=object())
+            expected = TypeError
+        with pytest.raises(expected):
+            store.save_journal("Q3", journal)
+        monkeypatch.undo()
+
+        reopened = SnapshotStore(tmp_path / "store")
+        assert reopened.load_journal("Q3").records == before
 
     def test_register_saves_the_manifest_once(self, tpch_tiny, tmp_path, monkeypatch):
         first, _ = self._outcomes(tpch_tiny, tmp_path)

@@ -8,45 +8,74 @@ at pipeline breakers, the short queries drain, and the long query resumes
 from its snapshot — "converting a long-running query into a series of
 short-running ones".
 
+The scheduler is the fleet simulator with one worker and no availability
+trace (``duration=0.0``: the worker never gets reclaimed).
+
 Run:  python examples/heterogeneous_workload.py
 """
 
 import tempfile
 
-from repro.cloud.scheduler import QueryRequest, SuspensionScheduler
+from repro.fleet import FleetCluster, make_policy
+from repro.fleet.workload import QueryArrival
 from repro.harness.report import format_table
-from repro.tpch import build_query, generate_catalog
+from repro.tpch import generate_catalog
+
+
+def arrival(name: str, query: str, at: float, interactive: bool = False) -> QueryArrival:
+    return QueryArrival(
+        name=name,
+        tenant="interactive" if interactive else "analytic",
+        tenant_class="interactive" if interactive else "analytic",
+        query=query,
+        arrival_time=at,
+        interactive=interactive,
+        slo_factor=3.0,
+        weight=1.0,
+    )
+
+
+def schedule(catalog, policy: str, arrivals: list[QueryArrival]) -> dict:
+    cluster = FleetCluster(
+        catalog,
+        make_policy(policy),
+        workers=1,
+        snapshot_dir=tempfile.mkdtemp(prefix="riveter-sched-"),
+    )
+    result = cluster.run(arrivals, duration=0.0)
+    return {c.name: c for c in result.completions}
+
+
+def mean_latency(completions: dict, names: set[str]) -> float:
+    return sum(completions[name].latency for name in names) / len(names)
 
 
 def main() -> None:
     print("Generating TPC-H data...")
     catalog = generate_catalog(0.01)
-    scheduler = SuspensionScheduler(
-        catalog, snapshot_dir=tempfile.mkdtemp(prefix="riveter-sched-")
-    )
 
     # One long analytic query at t=0; three interactive queries arrive
     # while it runs.
-    requests = [
-        QueryRequest("long:Q21", build_query("Q21"), arrival_time=0.0),
-        QueryRequest("short:Q6 #1", build_query("Q6"), arrival_time=5.0, interactive=True),
-        QueryRequest("short:Q6 #2", build_query("Q6"), arrival_time=12.0, interactive=True),
-        QueryRequest("short:Q6 #3", build_query("Q6"), arrival_time=20.0, interactive=True),
+    arrivals = [
+        arrival("long:Q21", "Q21", 0.0),
+        arrival("short:Q6 #1", "Q6", 5.0, interactive=True),
+        arrival("short:Q6 #2", "Q6", 12.0, interactive=True),
+        arrival("short:Q6 #3", "Q6", 20.0, interactive=True),
     ]
 
     print("Scheduling with run-to-completion (FIFO)...")
-    fifo = scheduler.run_fifo(list(requests))
+    fifo = schedule(catalog, "fifo", arrivals)
     print("Scheduling with Riveter suspension-aware preemption...")
-    preemptive = scheduler.run_preemptive(list(requests))
+    preemptive = schedule(catalog, "suspend-aware", arrivals)
 
     rows = []
-    for request in requests:
-        before = fifo.completion(request.name)
-        after = preemptive.completion(request.name)
+    for query in arrivals:
+        before = fifo[query.name]
+        after = preemptive[query.name]
         rows.append(
             [
-                request.name,
-                f"{request.arrival_time:.0f}s",
+                query.name,
+                f"{query.arrival_time:.0f}s",
                 f"{before.latency:.1f}s",
                 f"{after.latency:.1f}s",
                 after.suspensions,
@@ -60,9 +89,9 @@ def main() -> None:
         )
     )
 
-    short_names = {r.name for r in requests if r.interactive}
-    fifo_short = fifo.mean_latency(names=short_names)
-    preemptive_short = preemptive.mean_latency(names=short_names)
+    short_names = {a.name for a in arrivals if a.interactive}
+    fifo_short = mean_latency(fifo, short_names)
+    preemptive_short = mean_latency(preemptive, short_names)
     print(
         f"\nMean interactive latency: {fifo_short:.1f}s (FIFO) → "
         f"{preemptive_short:.1f}s (suspension-aware), "
@@ -70,8 +99,8 @@ def main() -> None:
     )
     long_name = "long:Q21"
     print(
-        f"Long query latency: {fifo.completion(long_name).latency:.1f}s → "
-        f"{preemptive.completion(long_name).latency:.1f}s "
+        f"Long query latency: {fifo[long_name].latency:.1f}s → "
+        f"{preemptive[long_name].latency:.1f}s "
         "(pays the suspension overhead)"
     )
 

@@ -11,8 +11,9 @@ Demonstrates the core Riveter loop on the pipeline-level strategy:
    matches the uninterrupted run byte for byte.
 
 Steps 2 and 3 go through one :class:`repro.suspend.QuerySession` — the
-same slice driver behind the runner, the scheduler, the fleet and the
-CLI: run a slice, persist, commit, reload, run the next slice.
+same slice driver behind the runner, the fleet (with one worker, the
+Case 1 scheduler) and the CLI: run a slice, persist, commit, reload, run
+the next slice.
 
 Run:  python examples/quickstart.py
 """

@@ -9,7 +9,6 @@ from repro.cloud.environment import EphemeralEnvironment, PriceTrace
 from repro.cloud.pricing import PriceAwareOutcome, PriceAwareRunner
 from repro.cloud.events import TerminationEvent, sample_events
 from repro.cloud.runner import AdaptiveController, QueryRunner, RunOutcome, make_strategy
-from repro.cloud.scheduler import QueryRequest, SuspensionScheduler
 
 __all__ = [
     "AvailabilityTrace",
@@ -25,6 +24,4 @@ __all__ = [
     "QueryRunner",
     "RunOutcome",
     "make_strategy",
-    "QueryRequest",
-    "SuspensionScheduler",
 ]

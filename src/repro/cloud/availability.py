@@ -34,10 +34,16 @@ from repro.suspend.strategy import SuspensionStrategy
 __all__ = [
     "AvailabilityWindow",
     "AvailabilityTrace",
+    "DEADLINE_SAFETY",
     "DeadlineController",
     "IntermittentOutcome",
     "IntermittentRunner",
 ]
+
+#: Multiplier on the persist estimate when timing a suspension ahead of a
+#: deadline.  The fleet's macro fidelity calibrates its deadline margins
+#: with the same factor, which keeps it byte-identical to engine fidelity.
+DEADLINE_SAFETY = 1.3
 
 
 class DeadlineController(ExecutionController):
@@ -45,24 +51,23 @@ class DeadlineController(ExecutionController):
 
     * ``mode="process"`` — suspend at the first morsel boundary from which
       persisting the current memory footprint would still finish before
-      the deadline (plus a safety factor);
+      the deadline (times :data:`DEADLINE_SAFETY`);
     * ``mode="pipeline"`` — at each breaker, suspend if the *next* breaker
       (extrapolated from the mean pipeline time so far) would land past
       the deadline minus the persist estimate for the live states.
     """
 
-    def __init__(self, deadline: float, profile: HardwareProfile, mode: str, safety: float = 1.3):
+    def __init__(self, deadline: float, profile: HardwareProfile, mode: str):
         if mode not in ("process", "pipeline"):
             raise ValueError(f"mode must be 'process' or 'pipeline', got {mode!r}")
         self.deadline = deadline
         self.profile = profile
         self.mode = mode
-        self.safety = safety
         self.suspended_at: float | None = None
 
     def _persist_margin(self, nbytes: int) -> float:
         image = nbytes + self.profile.process_context_bytes
-        return self.profile.persist_latency(image) * self.safety
+        return self.profile.persist_latency(image) * DEADLINE_SAFETY
 
     def on_morsel_boundary(self, context: BoundaryContext) -> Action:
         if self.mode != "process":
@@ -80,7 +85,7 @@ class DeadlineController(ExecutionController):
             return Action.CONTINUE
         if context.pipeline_pos == context.total_pipelines - 1:
             return Action.CONTINUE
-        margin = self.profile.persist_latency(context.pipeline_state_bytes) * self.safety
+        margin = self.profile.persist_latency(context.pipeline_state_bytes) * DEADLINE_SAFETY
         mean = context.stats.mean_pipeline_time
         if context.clock_now + mean + margin >= self.deadline:
             self.suspended_at = context.clock_now
@@ -160,7 +165,6 @@ class IntermittentRunner:
         strategy: SuspensionStrategy,
         profile: HardwareProfile | None = None,
         snapshot_dir: str | os.PathLike = ".riveter-intermittent",
-        safety: float = 1.3,
         config: ExecutionConfig | None = None,
         **options,
     ):
@@ -169,8 +173,6 @@ class IntermittentRunner:
         self.profile = profile if profile is not None else HardwareProfile()
         self.snapshot_dir = Path(snapshot_dir)
         self.config = ExecutionConfig.of(config, **options)
-        #: multiplier on the persist estimate when timing the suspension
-        self.safety = safety
 
     def run(self, plan: PlanNode, query_name: str, trace: AvailabilityTrace) -> IntermittentOutcome:
         """Execute *plan* across *trace*; returns the multi-window outcome."""
@@ -195,9 +197,7 @@ class IntermittentRunner:
             controllers: list[ExecutionController] = [TerminationController(window.duration)]
             if self.strategy.name in ("process", "pipeline"):
                 controllers.append(
-                    DeadlineController(
-                        window.duration, self.profile, self.strategy.name, self.safety
-                    )
+                    DeadlineController(window.duration, self.profile, self.strategy.name)
                 )
             # The window opens with the reload: the slice clock starts past
             # it, so the reload counts as busy time and eats into the

@@ -1,24 +1,24 @@
-"""Shared queued/run/suspended segment bookkeeping.
+"""Queued/run/suspended segment bookkeeping.
 
-Both the single-worker :class:`~repro.cloud.scheduler.SuspensionScheduler`
-and the multi-worker :class:`~repro.fleet.cluster.FleetCluster` attribute
-every instant of a query's life to one of three phases::
+:class:`~repro.fleet.cluster.FleetCluster` — at any worker count,
+including the one-worker Case 1 scheduler — attributes every instant of a
+query's life to one of three phases::
 
     {"phase": "queued" | "run" | "suspended", "start": ..., "end": ...}
 
-so the Chrome-trace export (:func:`repro.obs.export.schedule_to_chrome`)
-renders identical per-query lanes for either scheduler.  This module is
-the single home for that bookkeeping: :class:`SegmentTimeline` keeps the
-timeline *contiguous* — any gap between the previous known time and the
-next run start is attributed to ``queued`` (before the first run) or
-``suspended`` (after a suspension) automatically, which is what fixes the
-historical unattributed gap for queries that arrive while another query
-is suspending.
+which its lifecycle spans render as the query's ``query:<name>`` lane.
+:class:`SegmentTimeline` keeps the timeline *contiguous* — any gap
+between the previous known time and the next run start is attributed to
+``queued`` (before the first run) or ``suspended`` (after a suspension)
+automatically, so a query that arrives while another query is suspending
+has no unattributed gap.  A resume's reload is busy time on the worker,
+so it opens the following ``run`` segment rather than closing the
+``suspended`` gap.
 """
 
 from __future__ import annotations
 
-__all__ = ["SEGMENT_PHASES", "SegmentTimeline", "segments_for"]
+__all__ = ["SEGMENT_PHASES", "SegmentTimeline"]
 
 #: The closed set of phases a segment may carry.
 SEGMENT_PHASES = ("queued", "run", "suspended")
@@ -82,9 +82,3 @@ class SegmentTimeline:
         self._append("run", start, end, **args)
         self._has_run = True
 
-
-def segments_for(arrival: float, start: float, finished: float) -> list[dict]:
-    """Queued/run phase timeline for an uninterrupted execution."""
-    timeline = SegmentTimeline(arrival)
-    timeline.run(start, finished)
-    return timeline.segments

@@ -1,7 +1,10 @@
 """Multi-worker cluster simulator with suspension-based preemption.
 
-The fleet brings the paper's single-worker Case 1 scheduler to cluster
-scale: ``N`` simulated workers, each running one query at a time on the
+The fleet is the paper's Case 1 scheduler (§II-B) at any scale —
+``FleetCluster(catalog, policy, workers=1).run(arrivals, duration=0.0)``
+is the single-worker case, with no reclamations since a worker is
+permanently available past its (empty) trace.  In general it runs ``N``
+simulated workers, each running one query at a time on the
 shared virtual clock, each subject to spot reclamation through a seeded
 :class:`~repro.cloud.availability.AvailabilityTrace`-style window list.
 Long-running analytics are preempted through the pipeline-level
@@ -42,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cloud.availability import DeadlineController
 from repro.cloud.segments import SegmentTimeline
 from repro.engine.clock import SimulatedClock
 from repro.engine.config import ExecutionConfig
@@ -161,10 +165,9 @@ class WorkerSummary:
 class FleetResult:
     """Outcome of one fleet simulation.
 
-    Duck-types :class:`~repro.cloud.scheduler.ScheduleReport` — the
-    ``completions`` carry name/arrival_time/finished_at/suspensions/
-    segments — so :func:`repro.obs.export.schedule_to_chrome` renders the
-    per-query lanes unchanged.
+    Each completion's ``segments`` are the leaves of its lifecycle span
+    tree, so an observed run's Chrome trace shows them as the query's
+    ``query:<name>`` lane.
     """
 
     policy: str
@@ -655,8 +658,6 @@ class FleetCluster:
             # FIFO runs through and loses the window's progress).
             controllers.append(TerminationController(window_end))
             if self.policy.preemptive:
-                from repro.cloud.availability import DeadlineController
-
                 controllers.append(
                     DeadlineController(window_end, self.profile, "pipeline")
                 )

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cloud.availability import DEADLINE_SAFETY
 from repro.engine.clock import SimulatedClock
 from repro.engine.config import ExecutionConfig
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
@@ -50,9 +51,6 @@ __all__ = [
     "calibrate_query",
     "run_macro_slice",
 ]
-
-#: DeadlineController's default safety factor (pipeline mode).
-_DEADLINE_SAFETY = 1.3
 
 
 class _RecordingClock(SimulatedClock):
@@ -144,7 +142,7 @@ class QueryRunProfile:
     breaker_check: np.ndarray
     #: live-state bytes visible to the deadline controller at breaker p
     live_bytes: list[int]
-    #: ``persist_latency(live) * safety`` margin at breaker p
+    #: ``persist_latency(live) * DEADLINE_SAFETY`` margin at breaker p
     deadline_margin: np.ndarray
     #: snapshot payload persisted when suspending at breaker p
     intermediate_bytes: list[int]
@@ -235,7 +233,7 @@ def calibrate_query(
         live_bytes=recorder.live_bytes,
         deadline_margin=np.asarray(
             [
-                profile.persist_latency(nbytes) * _DEADLINE_SAFETY
+                profile.persist_latency(nbytes) * DEADLINE_SAFETY
                 for nbytes in recorder.live_bytes
             ],
             dtype=np.float64,

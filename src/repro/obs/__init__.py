@@ -62,7 +62,6 @@ from repro.obs.trace import TRACE_CATEGORIES, TraceEvent, Tracer
 from repro.obs.export import (
     counter_track_events,
     profile_lane_events,
-    schedule_to_chrome,
     text_summary,
     trace_to_chrome,
     trace_to_jsonl,
@@ -70,7 +69,6 @@ from repro.obs.export import (
     validate_chrome_trace_file,
     write_chrome_trace,
     write_jsonl,
-    write_schedule_trace,
 )
 from repro.obs.dashboard import render_profile, render_report, sparkline
 # Imported after metrics/trace: profile depends on repro.obs.metrics and
@@ -120,8 +118,6 @@ __all__ = [
     "write_jsonl",
     "write_chrome_trace",
     "text_summary",
-    "schedule_to_chrome",
-    "write_schedule_trace",
     "validate_chrome_trace",
     "validate_chrome_trace_file",
     "counter_track_events",

@@ -39,10 +39,8 @@ kind              emitted by
                   estimates recorded at decision time
 ``counterfactual``  ``repro why`` — measured actuals of a forced run of a
                   strategy the selector did *not* choose
-``placement``     :class:`~repro.cloud.scheduler.SuspensionScheduler` and
-                  :class:`~repro.fleet.cluster.FleetCluster` — FIFO vs
-                  preemptive placement steps (start / preempt / resume /
-                  complete)
+``placement``     :class:`~repro.fleet.cluster.FleetCluster` — a query's
+                  placement steps (preempt / complete) under its policy
 ``admission``     :class:`~repro.fleet.admission.AdmissionController` — one
                   record per arrival with the admit/shed verdict and the
                   queue depth it was judged against

@@ -34,8 +34,6 @@ __all__ = [
     "write_jsonl",
     "write_chrome_trace",
     "text_summary",
-    "schedule_to_chrome",
-    "write_schedule_trace",
     "validate_chrome_trace",
     "validate_chrome_trace_file",
 ]
@@ -261,69 +259,6 @@ def text_summary(tracer: Tracer, metrics=None) -> str:
                 else:
                     lines.append(f"  {key}: {entry['value']:.4f}")
     return "\n".join(lines)
-
-
-def schedule_to_chrome(report, policy: str = "schedule") -> dict:
-    """Chrome-trace JSON of a :class:`~repro.cloud.scheduler.ScheduleReport`.
-
-    Each query becomes its own named thread (track) carrying one span per
-    ``queued`` / ``run`` / ``suspended`` phase segment, so a whole
-    ``run_fifo``/``run_preemptive`` workload opens in Perfetto with the
-    same per-lane readability as a single-query trace.
-    """
-    trace_events: list[dict] = [
-        {
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": f"riveter-scheduler:{policy}"},
-        }
-    ]
-    body: list[dict] = []
-    for tid, completion in enumerate(report.completions, start=1):
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": f"query:{completion.name}"},
-            }
-        )
-        segments = completion.segments or [
-            {"phase": "run", "start": completion.arrival_time, "end": completion.finished_at}
-        ]
-        for segment in segments:
-            body.append(
-                {
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": tid,
-                    "cat": "cloud",
-                    "name": segment["phase"],
-                    "ts": segment["start"] * _SECONDS_TO_MICROS,
-                    "dur": max(0.0, segment["end"] - segment["start"]) * _SECONDS_TO_MICROS,
-                    "args": {
-                        "query": completion.name,
-                        "policy": policy,
-                        "suspensions": completion.suspensions,
-                    },
-                }
-            )
-    return {
-        "traceEvents": trace_events + body,
-        "displayTimeUnit": "ms",
-        "otherData": {"policy": policy, "clock": "virtual"},
-    }
-
-
-def write_schedule_trace(report, path: str | os.PathLike, policy: str = "schedule") -> int:
-    """Write the scheduler timeline export to *path*; returns span count."""
-    payload = schedule_to_chrome(report, policy)
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(canonical_json(payload))
-    return sum(1 for e in payload["traceEvents"] if e["ph"] == "X")
 
 
 def validate_chrome_trace(payload: dict) -> dict:

@@ -29,7 +29,6 @@ name                               type    meaning
 ``resumptions_total``              ctr     successful resumptions
 ``busy_seconds_total``             ctr     accumulated busy time (cost proxy)
 ``overhead_seconds_total``         ctr     busy − normal accumulated
-``scheduler_completions_total``    ctr     queries drained by the scheduler
 ``fleet_admitted_total{tenant=…}`` ctr     arrivals admitted to the fleet
 ``fleet_rejected_total{reason=…}`` ctr     arrivals shed (queue_full/memory)
 ``fleet_completions_total{…}``     ctr     fleet completions per tenant class

@@ -17,7 +17,6 @@ from repro.cloud.availability import AvailabilityTrace, IntermittentRunner
 from repro.cloud.environment import PriceTrace
 from repro.cloud.pricing import PriceAwareRunner
 from repro.cloud.runner import QueryRunner
-from repro.cloud.scheduler import QueryRequest, SuspensionScheduler
 from repro.dist import Coordinator, ShardSuspension, partition_catalog, split_plan
 from repro.engine.backend import SimulatedBackend
 from repro.engine.config import ExecutionConfig
@@ -31,6 +30,7 @@ from repro.storage.codec import CodecError
 from repro.suspend import ProcessLevelStrategy, QuerySession, make_strategy
 from repro.tpch import build_query
 
+from tests.test_scheduler import arrival
 from tests.test_session import chunk_digest
 
 QUERY = "Q3"
@@ -177,17 +177,22 @@ class TestEveryDriverForwardsTheObject:
         assert_reached(seen, 4)
 
     def test_suspension_scheduler(self, tpch_tiny, bare, seen, tmp_path):
-        scheduler = SuspensionScheduler(tpch_tiny, snapshot_dir=tmp_path, config=CONFIG)
-        assert scheduler.strategy.codec == "adaptive"
-        alone = scheduler.run_fifo([QueryRequest("only", build_query(QUERY), 0.0)])
-        assert alone.completion("only").finished_at == bare.stats.duration
-        report = scheduler.run_preemptive(
-            [
-                QueryRequest("long", build_query("Q9"), 0.0),
-                QueryRequest("short", build_query("Q6"), 1.0, interactive=True),
-            ]
+        """Case 1: the fleet with one worker and no availability trace."""
+
+        def schedule(policy, arrivals):
+            cluster = FleetCluster(
+                tpch_tiny, make_policy(policy), workers=1,
+                snapshot_dir=tmp_path / policy, config=CONFIG,
+            )
+            return {c.name: c for c in cluster.run(arrivals, duration=0.0).completions}
+
+        alone = schedule("fifo", [arrival("only", QUERY, 0.0)])
+        assert alone["only"].finished_at == bare.stats.duration
+        done = schedule(
+            "suspend-aware",
+            [arrival("long", "Q9", 0.0), arrival("short", "Q6", 1.0, interactive=True)],
         )
-        assert report.completion("long").suspensions >= 1
+        assert done["long"].suspensions >= 1
         assert_reached(seen, 4)
 
     def test_intermittent_runner(self, tpch_tiny, bare, seen, tmp_path):

@@ -17,9 +17,11 @@ from repro.fleet import (
 from repro.fleet.slo import dollars_for_slices, latency_stats, percentile
 from repro.fleet.workload import TENANT_CLASSES
 from repro.cloud.environment import PriceTrace
+from repro.cloud.segments import SEGMENT_PHASES
 from repro.obs.audit import DecisionJournal
 from repro.obs.handle import Obs
-from repro.obs.export import schedule_to_chrome, validate_chrome_trace
+from repro.obs.export import trace_to_chrome, validate_chrome_trace
+from repro.obs.trace import Tracer
 
 
 def small_workload(tenants=3, duration=600.0, seed=42):
@@ -306,10 +308,25 @@ class TestReport:
         assert set(report["classes"]) == {"interactive", "analytic", "batch"}
 
     def test_result_exports_to_chrome_trace(self, tpch_tiny, tmp_path):
-        result = run_fleet(tpch_tiny, tmp_path)
-        payload = schedule_to_chrome(result, policy="suspend-aware")
-        summary = validate_chrome_trace(payload)
-        assert summary["events"] > len(result.completions)
+        tracer = Tracer()
+        _, arrivals = small_workload()
+        result = FleetCluster(
+            tpch_tiny, make_policy("suspend-aware"), snapshot_dir=tmp_path,
+            obs=Obs(tracer=tracer),
+        ).run(arrivals, 600.0)
+        payload = trace_to_chrome(tracer)
+        validate_chrome_trace(payload)
+        lanes = {
+            e["args"]["name"]: e["tid"] for e in payload["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        # Each query's lane carries its phase segments, in order.
+        for completion in result.completions:
+            tid = lanes[f"query:{completion.name}"]
+            assert [
+                e["name"] for e in payload["traceEvents"]
+                if e["tid"] == tid and e["ph"] == "X" and e["name"] in SEGMENT_PHASES
+            ] == [s["phase"] for s in completion.segments]
 
     def test_format_fleet_report_text(self, tpch_tiny, tmp_path):
         from repro.fleet import format_fleet_report

@@ -369,71 +369,3 @@ class TestExport:
             hist.observe(value)
         summary = text_summary(tracer, metrics)
         assert "p50=" in summary and "p95=" in summary
-
-
-class TestScheduleExport:
-    def _report(self, tpch_tiny, profile, tmp_path, policy):
-        from repro.cloud.scheduler import QueryRequest, SuspensionScheduler
-
-        scheduler = SuspensionScheduler(
-            tpch_tiny, profile, snapshot_dir=tmp_path / "sched"
-        )
-        requests = [
-            QueryRequest("Q18", build_query("Q18"), 0.0),
-            QueryRequest("Q6", build_query("Q6"), 0.2, interactive=True),
-        ]
-        if policy == "fifo":
-            return scheduler.run_fifo(requests)
-        return scheduler.run_preemptive(requests)
-
-    def test_completions_carry_phase_segments(self, tpch_tiny, profile, tmp_path):
-        report = self._report(tpch_tiny, profile, tmp_path, "preemptive")
-        for completion in report.completions:
-            assert completion.segments, f"{completion.name} has no segments"
-            for segment in completion.segments:
-                assert segment["phase"] in ("queued", "run", "suspended")
-                assert segment["end"] >= segment["start"]
-        long = report.completion("Q18")
-        if long.suspensions:
-            assert any(s["phase"] == "suspended" for s in long.segments)
-
-    def test_fifo_queued_segment_covers_the_wait(self, tpch_tiny, profile, tmp_path):
-        report = self._report(tpch_tiny, profile, tmp_path, "fifo")
-        short = report.completion("Q6")
-        queued = [s for s in short.segments if s["phase"] == "queued"]
-        assert queued and queued[0]["start"] == short.arrival_time
-
-    def test_schedule_trace_opens_as_chrome_trace(self, tpch_tiny, profile, tmp_path):
-        from repro.obs.export import schedule_to_chrome, write_schedule_trace
-
-        report = self._report(tpch_tiny, profile, tmp_path, "preemptive")
-        payload = schedule_to_chrome(report, policy="preemptive")
-        summary = validate_chrome_trace(payload)
-        assert summary["categories"]["cloud"] >= len(report.completions)
-        thread_names = [
-            e["args"]["name"] for e in payload["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        ]
-        assert "query:Q18" in thread_names and "query:Q6" in thread_names
-        path = tmp_path / "schedule.json"
-        count = write_schedule_trace(report, path, policy="preemptive")
-        assert count == sum(len(c.segments) for c in report.completions)
-        assert validate_chrome_trace_file(path)["events"] > 0
-
-    def test_placement_records_cover_every_segment(self, tpch_tiny, profile, tmp_path):
-        from repro.cloud.scheduler import QueryRequest, SuspensionScheduler
-        from repro.obs.audit import DecisionJournal
-
-        journal = DecisionJournal()
-        scheduler = SuspensionScheduler(
-            tpch_tiny, profile, snapshot_dir=tmp_path / "sched", obs=Obs(journal=journal)
-        )
-        report = scheduler.run_preemptive(
-            [
-                QueryRequest("Q18", build_query("Q18"), 0.0),
-                QueryRequest("Q6", build_query("Q6"), 0.2, interactive=True),
-            ]
-        )
-        placements = journal.by_kind("placement")
-        assert len(placements) == sum(len(c.segments) for c in report.completions)
-        assert all(r.payload["policy"] == "preemptive" for r in placements)

@@ -14,7 +14,6 @@ from collections import defaultdict
 import pytest
 
 from repro.cloud.runner import QueryRunner
-from repro.cloud.scheduler import QueryRequest, SuspensionScheduler
 from repro.costmodel.optimizer_est import OptimizerSizeEstimator
 from repro.costmodel.selector import AdaptiveStrategySelector
 from repro.costmodel.termination import TerminationProfile
@@ -222,8 +221,6 @@ class TestRemovedKeywords:
         with pytest.raises(TypeError):
             QueryRunner(tpch_tiny, snapshot_dir=tmp_path, **value)
         with pytest.raises(TypeError):
-            SuspensionScheduler(tpch_tiny, snapshot_dir=tmp_path, **value)
-        with pytest.raises(TypeError):
             Coordinator(partition_catalog(tpch_tiny, 2), snapshot_dir=tmp_path, **value)
         with pytest.raises(TypeError):
             FleetCluster(tpch_tiny, make_policy("fifo"), snapshot_dir=tmp_path, **value)
@@ -286,24 +283,6 @@ class TestOneHandleReachesEverything:
         kinds = {record.kind for record in handle.journal.records}
         assert {"decision", "action", "suspend", "resume", "outcome"} <= kinds
         assert handle.metrics.histogram("estimator_error_seconds").count == 1
-
-    def test_scheduler_preemptive(self, tpch_tiny, tmp_path, built):
-        handle = full_handle()
-        scheduler = SuspensionScheduler(tpch_tiny, snapshot_dir=tmp_path, obs=handle)
-        report = scheduler.run_preemptive(
-            [
-                QueryRequest("Q18", build_query("Q18"), 0.0),
-                QueryRequest("Q6", build_query("Q6"), 0.2, interactive=True),
-            ]
-        )
-        assert report.completion("Q18").suspensions >= 1
-        assert built[SuspensionStrategy] == [scheduler.strategy]
-        assert built[SuspensionRequestController]
-        for cls in built:
-            for component in built[cls]:
-                assert_same_sinks(component, handle)
-        assert len(handle.recorder.completions) == 2
-        assert handle.journal.by_kind("placement")
 
     def test_coordinator_with_shard_suspension(self, tpch_tiny, tmp_path, built):
         handle = full_handle()

@@ -84,16 +84,10 @@ class AdaptiveStrategySelector:
         started = time.perf_counter()
         # Determining S^ppl requires serializing the live global states —
         # the dominant cost-model step for queries with large states
-        # (Table V, Q17).
+        # (Table V, Q17) — under the codec that would persist them, so
+        # S^ppl shrinks with the encoded bytes (no-op for "raw").
         live = context.executor.live_states()
-        if self.codec != "raw":
-            # Measure what the codec would actually persist: Algorithm 1's
-            # S^ppl input shrinks with the encoded bytes, moving break-evens.
-            state_bytes = 0
-            for state in live.values():
-                with codec_mod.encoding(self.codec):
-                    state_bytes += len(state.serialize())
-        else:
+        with codec_mod.encoding(self.codec):
             state_bytes = sum(len(state.serialize()) for state in live.values())
         if not context.at_breaker and context.morsel_count:
             # A pipeline-level suspension planned from here fires at the

@@ -22,11 +22,9 @@ from repro.engine.chunk import DataChunk, concat_chunks
 from repro.engine.kernels import get_kernels
 from repro.engine.keys import align_rows
 from repro.engine.operators.base import (
-    GlobalSinkState,
     LocalSinkState,
+    MaterializedState,
     Sink,
-    chunk_from_stream,
-    chunk_to_stream,
     chunks_from_bytes,
     chunks_to_bytes,
 )
@@ -111,42 +109,24 @@ class AggLocalState(LocalSinkState):
         return cls(partials=lists[0], distinct=lists[1])
 
 
-class AggGlobalState(GlobalSinkState):
-    """Merged aggregation state; after finalize holds the result chunk."""
+class AggGlobalState(MaterializedState):
+    """Merged partials and distinct tuples; after finalize the result chunk."""
 
     def __init__(self) -> None:
-        self.pending_partials: list[DataChunk] = []
+        super().__init__()
         self.pending_distinct: list[DataChunk] = []
-        self.result: DataChunk | None = None
-        self.finalized = False
 
     @property
     def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self.pending_partials)
-        total += sum(c.nbytes for c in self.pending_distinct)
-        if self.result is not None:
-            total += self.result.nbytes
-        return int(total)
-
-    def serialize(self) -> bytes:
-        if not self.finalized:
-            raise ValueError("cannot serialize an unfinalized aggregate state")
-        buffer = io.BytesIO()
-        chunk_to_stream(buffer, self.result)
-        return buffer.getvalue()
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "AggGlobalState":
-        state = cls()
-        state.result = chunk_from_stream(io.BytesIO(blob))
-        state.finalized = True
-        return state
+        return super().nbytes + sum(c.nbytes for c in self.pending_distinct)
 
 
 class HashAggregateSink(Sink):
     """Grouped aggregation with two-phase (local partial / global) merge."""
 
     kind = "aggregate"
+    local_state_type = AggLocalState
+    global_state_type = AggGlobalState
 
     def __init__(self, input_schema: Schema, group_keys: list[str], specs: list[AggSpec]):
         super().__init__(input_schema)
@@ -185,12 +165,6 @@ class HashAggregateSink(Sink):
         return Schema(tuple(fields))
 
     # -- sink interface ----------------------------------------------------
-    def make_local_state(self) -> AggLocalState:
-        return AggLocalState()
-
-    def make_global_state(self) -> AggGlobalState:
-        return AggGlobalState()
-
     def sink(self, state: AggLocalState, chunk: DataChunk) -> None:
         self.sink_prepared(state, self.prepare(chunk))
 
@@ -212,32 +186,21 @@ class HashAggregateSink(Sink):
         state.distinct.extend(distinct)
 
     def combine(self, global_state: AggGlobalState, local_state: AggLocalState) -> None:
-        global_state.pending_partials.extend(local_state.partials)
+        global_state.pending.extend(local_state.partials)
         global_state.pending_distinct.extend(local_state.distinct)
         local_state.partials = []
         local_state.distinct = []
 
     def finalize(self, global_state: AggGlobalState) -> None:
         global_state.result = self._merge_partials(
-            global_state.pending_partials, global_state.pending_distinct
+            global_state.pending, global_state.pending_distinct
         )
-        global_state.pending_partials = []
+        global_state.pending = []
         global_state.pending_distinct = []
         global_state.finalized = True
 
     def finalize_cost_rows(self, global_state: AggGlobalState) -> int:
         return 0 if global_state.result is None else global_state.result.num_rows
-
-    def deserialize_global_state(self, blob: bytes) -> AggGlobalState:
-        return AggGlobalState.deserialize(blob)
-
-    def deserialize_local_state(self, blob: bytes) -> AggLocalState:
-        return AggLocalState.deserialize(blob)
-
-    def result_chunk(self, global_state: AggGlobalState) -> DataChunk:
-        if not global_state.finalized:
-            raise ValueError("aggregate state not finalized")
-        return global_state.result
 
     # -- aggregation kernels -------------------------------------------------
     def _group_ids(self, chunk: DataChunk) -> tuple[np.ndarray, np.ndarray, int]:

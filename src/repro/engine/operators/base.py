@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 
-from repro.engine.chunk import DataChunk
+from repro.engine.chunk import DataChunk, concat_chunks
 from repro.engine.types import DataType, Schema
 from repro.storage import serialize
 
@@ -26,6 +26,8 @@ __all__ = [
     "Sink",
     "LocalSinkState",
     "GlobalSinkState",
+    "ChunkListLocalState",
+    "MaterializedState",
     "chunk_to_stream",
     "chunk_from_stream",
     "chunks_to_bytes",
@@ -124,6 +126,10 @@ class LocalSinkState:
     def serialize(self) -> bytes:
         raise NotImplementedError
 
+    @classmethod
+    def deserialize(cls, blob: bytes) -> "LocalSinkState":
+        raise NotImplementedError
+
 
 class GlobalSinkState:
     """Merged pipeline result; serializable for pipeline-level snapshots."""
@@ -137,26 +143,95 @@ class GlobalSinkState:
     def serialize(self) -> bytes:
         raise NotImplementedError
 
+    @classmethod
+    def deserialize(cls, blob: bytes) -> "GlobalSinkState":
+        raise NotImplementedError
+
+
+class ChunkListLocalState(LocalSinkState):
+    """Common local state: a list of buffered chunks."""
+
+    def __init__(self, chunks: list[DataChunk] | None = None):
+        self.chunks: list[DataChunk] = list(chunks) if chunks else []
+
+    @property
+    def nbytes(self) -> int:
+        return sum(c.nbytes for c in self.chunks)
+
+    @property
+    def num_rows(self) -> int:
+        return sum(c.num_rows for c in self.chunks)
+
+    def serialize(self) -> bytes:
+        return chunks_to_bytes(self.chunks)
+
+    @classmethod
+    def deserialize(cls, blob: bytes) -> "ChunkListLocalState":
+        return cls(chunks_from_bytes(blob))
+
+
+class MaterializedState(GlobalSinkState):
+    """Buffered input chunks, then the one finalized result chunk.
+
+    Only the finalized result is persisted: a snapshot holds exactly
+    :func:`chunk_to_stream` of it.
+    """
+
+    def __init__(self) -> None:
+        self.pending: list[DataChunk] = []
+        self.result: DataChunk | None = None
+        self.finalized = False
+
+    @property
+    def nbytes(self) -> int:
+        total = sum(c.nbytes for c in self.pending)
+        if self.result is not None:
+            total += self.result.nbytes
+        return int(total)
+
+    def serialize(self) -> bytes:
+        if not self.finalized:
+            raise ValueError(f"cannot serialize an unfinalized {type(self).__name__}")
+        buffer = io.BytesIO()
+        chunk_to_stream(buffer, self.result)
+        return buffer.getvalue()
+
+    @classmethod
+    def deserialize(cls, blob: bytes) -> "MaterializedState":
+        state = cls()
+        state.result = chunk_from_stream(io.BytesIO(blob))
+        state.finalized = True
+        return state
+
 
 class Sink:
-    """Pipeline terminator (a pipeline breaker in DuckDB terms)."""
+    """Pipeline terminator (a pipeline breaker in DuckDB terms).
+
+    The base owns the state lifecycle: it builds and deserializes states
+    through the two type attributes, buffers chunks into a
+    :class:`ChunkListLocalState`, merges them into the global ``pending``
+    list and concatenates them at finalize.  Sinks override only what
+    differs.
+    """
 
     kind: str = "result"
+    local_state_type: type[LocalSinkState] = ChunkListLocalState
+    global_state_type: type[GlobalSinkState] = MaterializedState
 
     def __init__(self, input_schema: Schema):
         self.input_schema = input_schema
 
     def make_local_state(self) -> LocalSinkState:
         """Fresh per-worker state."""
-        raise NotImplementedError
+        return self.local_state_type()
 
     def make_global_state(self) -> GlobalSinkState:
         """Fresh (empty) global state."""
-        raise NotImplementedError
+        return self.global_state_type()
 
     def sink(self, state: LocalSinkState, chunk: DataChunk) -> None:
         """Accumulate *chunk* into worker-local *state*."""
-        raise NotImplementedError
+        state.chunks.append(chunk)
 
     def prepare(self, chunk: DataChunk) -> object:
         """Worker-side precomputation for :meth:`sink_prepared`.
@@ -183,11 +258,14 @@ class Sink:
 
     def combine(self, global_state: GlobalSinkState, local_state: LocalSinkState) -> None:
         """Merge one worker's local state into the global state."""
-        raise NotImplementedError
+        global_state.pending.extend(local_state.chunks)
+        local_state.chunks = []
 
     def finalize(self, global_state: GlobalSinkState) -> None:
         """Complete the global state once all locals are combined."""
-        raise NotImplementedError
+        global_state.result = concat_chunks(self.input_schema, global_state.pending)
+        global_state.pending = []
+        global_state.finalized = True
 
     def finalize_cost_rows(self, global_state: GlobalSinkState) -> int:
         """Row-equivalents of work done at finalize, for the clock."""
@@ -195,34 +273,16 @@ class Sink:
 
     def deserialize_global_state(self, blob: bytes) -> GlobalSinkState:
         """Rebuild a finalized global state from snapshot bytes."""
-        raise NotImplementedError
+        return self.global_state_type.deserialize(blob)
 
     def deserialize_local_state(self, blob: bytes) -> LocalSinkState:
         """Rebuild a local state from process-image bytes."""
-        raise NotImplementedError
+        return self.local_state_type.deserialize(blob)
 
     def result_chunk(self, global_state: GlobalSinkState) -> DataChunk:
         """Materialized result for sinks that downstream pipelines scan."""
-        raise NotImplementedError(f"{type(self).__name__} has no scannable result")
-
-
-class ChunkListLocalState(LocalSinkState):
-    """Common local state: a list of buffered chunks."""
-
-    def __init__(self, chunks: list[DataChunk] | None = None):
-        self.chunks: list[DataChunk] = list(chunks) if chunks else []
-
-    @property
-    def nbytes(self) -> int:
-        return sum(c.nbytes for c in self.chunks)
-
-    @property
-    def num_rows(self) -> int:
-        return sum(c.num_rows for c in self.chunks)
-
-    def serialize(self) -> bytes:
-        return chunks_to_bytes(self.chunks)
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ChunkListLocalState":
-        return cls(chunks_from_bytes(blob))
+        if not isinstance(global_state, MaterializedState):
+            raise NotImplementedError(f"{type(self).__name__} has no scannable result")
+        if not global_state.finalized:
+            raise ValueError(f"{self.kind} state not finalized")
+        return global_state.result

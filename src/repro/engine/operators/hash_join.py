@@ -22,7 +22,6 @@ from repro.engine.chunk import DataChunk, concat_chunks, record_materialization
 from repro.engine.expressions import Expression
 from repro.engine.kernels import get_kernels
 from repro.engine.operators.base import (
-    ChunkListLocalState,
     GlobalSinkState,
     Sink,
     StreamingOperator,
@@ -91,6 +90,7 @@ class HashJoinBuildSink(Sink):
     """Accumulates the build side and finalizes the join 'hash table'."""
 
     kind = "join_build"
+    global_state_type = JoinBuildGlobalState
 
     def __init__(self, input_schema: Schema, key_columns: list[str]):
         super().__init__(input_schema)
@@ -98,19 +98,6 @@ class HashJoinBuildSink(Sink):
             if name not in input_schema:
                 raise KeyError(f"build key {name!r} not in build schema {input_schema.names}")
         self.key_columns = list(key_columns)
-
-    def make_local_state(self) -> ChunkListLocalState:
-        return ChunkListLocalState()
-
-    def make_global_state(self) -> JoinBuildGlobalState:
-        return JoinBuildGlobalState()
-
-    def sink(self, state: ChunkListLocalState, chunk: DataChunk) -> None:
-        state.chunks.append(chunk)
-
-    def combine(self, global_state: JoinBuildGlobalState, local_state: ChunkListLocalState) -> None:
-        global_state.pending.extend(local_state.chunks)
-        local_state.chunks = []
 
     def finalize(self, global_state: JoinBuildGlobalState) -> None:
         kernels = get_kernels()
@@ -125,12 +112,6 @@ class HashJoinBuildSink(Sink):
 
     def finalize_cost_rows(self, global_state: JoinBuildGlobalState) -> int:
         return 0 if global_state.payload is None else global_state.payload.num_rows
-
-    def deserialize_global_state(self, blob: bytes) -> JoinBuildGlobalState:
-        return JoinBuildGlobalState.deserialize(blob)
-
-    def deserialize_local_state(self, blob: bytes) -> ChunkListLocalState:
-        return ChunkListLocalState.deserialize(blob)
 
 
 class HashJoinProbeOperator(StreamingOperator):

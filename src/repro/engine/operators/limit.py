@@ -2,49 +2,11 @@
 
 from __future__ import annotations
 
-import io
-
-from repro.engine.chunk import DataChunk, concat_chunks
-from repro.engine.operators.base import (
-    ChunkListLocalState,
-    GlobalSinkState,
-    Sink,
-    chunk_from_stream,
-    chunk_to_stream,
-)
+from repro.engine.chunk import DataChunk
+from repro.engine.operators.base import ChunkListLocalState, MaterializedState, Sink
 from repro.engine.types import Schema
 
-__all__ = ["LimitSink", "LimitGlobalState"]
-
-
-class LimitGlobalState(GlobalSinkState):
-    """Buffered input, then the first-N result."""
-
-    def __init__(self) -> None:
-        self.pending: list[DataChunk] = []
-        self.result: DataChunk | None = None
-        self.finalized = False
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self.pending)
-        if self.result is not None:
-            total += self.result.nbytes
-        return int(total)
-
-    def serialize(self) -> bytes:
-        if not self.finalized:
-            raise ValueError("cannot serialize an unfinalized limit state")
-        buffer = io.BytesIO()
-        chunk_to_stream(buffer, self.result)
-        return buffer.getvalue()
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "LimitGlobalState":
-        state = cls()
-        state.result = chunk_from_stream(io.BytesIO(blob))
-        state.finalized = True
-        return state
+__all__ = ["LimitSink"]
 
 
 class LimitSink(Sink):
@@ -59,12 +21,6 @@ class LimitSink(Sink):
         self.limit = limit
         self.output_schema = input_schema
 
-    def make_local_state(self) -> ChunkListLocalState:
-        return ChunkListLocalState()
-
-    def make_global_state(self) -> LimitGlobalState:
-        return LimitGlobalState()
-
     # Note: sink() reads the local state (early cut-off once a worker has
     # buffered enough rows), so this sink keeps the default Sink.prepare —
     # the keep/drop decision must happen on the coordinator, in morsel
@@ -73,23 +29,7 @@ class LimitSink(Sink):
         if state.num_rows < self.limit:
             state.chunks.append(chunk)
 
-    def combine(self, global_state: LimitGlobalState, local_state: ChunkListLocalState) -> None:
-        global_state.pending.extend(local_state.chunks)
-        local_state.chunks = []
-
-    def finalize(self, global_state: LimitGlobalState) -> None:
-        merged = concat_chunks(self.input_schema, global_state.pending)
-        global_state.pending = []
+    def finalize(self, global_state: MaterializedState) -> None:
+        super().finalize(global_state)
+        merged = global_state.result
         global_state.result = merged.slice(0, min(self.limit, merged.num_rows))
-        global_state.finalized = True
-
-    def deserialize_global_state(self, blob: bytes) -> LimitGlobalState:
-        return LimitGlobalState.deserialize(blob)
-
-    def deserialize_local_state(self, blob: bytes) -> ChunkListLocalState:
-        return ChunkListLocalState.deserialize(blob)
-
-    def result_chunk(self, global_state: LimitGlobalState) -> DataChunk:
-        if not global_state.finalized:
-            raise ValueError("limit state not finalized")
-        return global_state.result

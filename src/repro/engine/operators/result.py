@@ -2,49 +2,10 @@
 
 from __future__ import annotations
 
-import io
-
-from repro.engine.chunk import DataChunk, concat_chunks
-from repro.engine.operators.base import (
-    ChunkListLocalState,
-    GlobalSinkState,
-    Sink,
-    chunk_from_stream,
-    chunk_to_stream,
-)
+from repro.engine.operators.base import Sink
 from repro.engine.types import Schema
 
-__all__ = ["ResultSink", "ResultGlobalState"]
-
-
-class ResultGlobalState(GlobalSinkState):
-    """Buffered result chunks, concatenated at finalize."""
-
-    def __init__(self) -> None:
-        self.pending: list[DataChunk] = []
-        self.result: DataChunk | None = None
-        self.finalized = False
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self.pending)
-        if self.result is not None:
-            total += self.result.nbytes
-        return int(total)
-
-    def serialize(self) -> bytes:
-        if not self.finalized:
-            raise ValueError("cannot serialize an unfinalized result state")
-        buffer = io.BytesIO()
-        chunk_to_stream(buffer, self.result)
-        return buffer.getvalue()
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ResultGlobalState":
-        state = cls()
-        state.result = chunk_from_stream(io.BytesIO(blob))
-        state.finalized = True
-        return state
+__all__ = ["ResultSink"]
 
 
 class ResultSink(Sink):
@@ -55,32 +16,3 @@ class ResultSink(Sink):
     def __init__(self, input_schema: Schema):
         super().__init__(input_schema)
         self.output_schema = input_schema
-
-    def make_local_state(self) -> ChunkListLocalState:
-        return ChunkListLocalState()
-
-    def make_global_state(self) -> ResultGlobalState:
-        return ResultGlobalState()
-
-    def sink(self, state: ChunkListLocalState, chunk: DataChunk) -> None:
-        state.chunks.append(chunk)
-
-    def combine(self, global_state: ResultGlobalState, local_state: ChunkListLocalState) -> None:
-        global_state.pending.extend(local_state.chunks)
-        local_state.chunks = []
-
-    def finalize(self, global_state: ResultGlobalState) -> None:
-        global_state.result = concat_chunks(self.input_schema, global_state.pending)
-        global_state.pending = []
-        global_state.finalized = True
-
-    def deserialize_global_state(self, blob: bytes) -> ResultGlobalState:
-        return ResultGlobalState.deserialize(blob)
-
-    def deserialize_local_state(self, blob: bytes) -> ChunkListLocalState:
-        return ChunkListLocalState.deserialize(blob)
-
-    def result_chunk(self, global_state: ResultGlobalState) -> DataChunk:
-        if not global_state.finalized:
-            raise ValueError("result state not finalized")
-        return global_state.result

@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
 
-from repro.engine.chunk import DataChunk, concat_chunks
-from repro.engine.operators.base import (
-    ChunkListLocalState,
-    GlobalSinkState,
-    Sink,
-    chunk_from_stream,
-    chunk_to_stream,
-)
+from repro.engine.operators.base import MaterializedState, Sink
 from repro.engine.types import Schema
 
 __all__ = ["SortSink", "SortGlobalState", "sort_indices"]
@@ -41,41 +33,18 @@ def sort_indices(arrays: list[np.ndarray], ascending: list[bool]) -> np.ndarray:
     return np.lexsort(tuple(reversed(lexsort_keys)))
 
 
-class SortGlobalState(GlobalSinkState):
+class SortGlobalState(MaterializedState):
     """Buffered input chunks, then the finalized sorted (limited) chunk."""
 
-    def __init__(self) -> None:
-        self.pending: list[DataChunk] = []
-        self.result: DataChunk | None = None
-        self.input_rows = 0
-        self.finalized = False
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self.pending)
-        if self.result is not None:
-            total += self.result.nbytes
-        return int(total)
-
-    def serialize(self) -> bytes:
-        if not self.finalized:
-            raise ValueError("cannot serialize an unfinalized sort state")
-        buffer = io.BytesIO()
-        chunk_to_stream(buffer, self.result)
-        return buffer.getvalue()
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "SortGlobalState":
-        state = cls()
-        state.result = chunk_from_stream(io.BytesIO(blob))
-        state.finalized = True
-        return state
+    #: rows sorted at finalize, for :meth:`SortSink.finalize_cost_rows`
+    input_rows = 0
 
 
 class SortSink(Sink):
     """Materializes input, sorts it by the given keys, applies a limit."""
 
     kind = "sort"
+    global_state_type = SortGlobalState
 
     def __init__(
         self,
@@ -93,22 +62,9 @@ class SortSink(Sink):
         self.limit = limit
         self.output_schema = input_schema
 
-    def make_local_state(self) -> ChunkListLocalState:
-        return ChunkListLocalState()
-
-    def make_global_state(self) -> SortGlobalState:
-        return SortGlobalState()
-
-    def sink(self, state: ChunkListLocalState, chunk: DataChunk) -> None:
-        state.chunks.append(chunk)
-
-    def combine(self, global_state: SortGlobalState, local_state: ChunkListLocalState) -> None:
-        global_state.pending.extend(local_state.chunks)
-        local_state.chunks = []
-
     def finalize(self, global_state: SortGlobalState) -> None:
-        merged = concat_chunks(self.input_schema, global_state.pending)
-        global_state.pending = []
+        super().finalize(global_state)
+        merged = global_state.result
         global_state.input_rows = merged.num_rows
         if self.sort_keys and merged.num_rows:
             order = sort_indices(
@@ -119,20 +75,8 @@ class SortSink(Sink):
         if self.limit is not None:
             merged = merged.slice(0, min(self.limit, merged.num_rows))
         global_state.result = merged
-        global_state.finalized = True
 
     def finalize_cost_rows(self, global_state: SortGlobalState) -> int:
         rows = global_state.input_rows
         # n log n sorting work expressed in row-equivalents for the clock
         return int(rows * max(1.0, math.log2(rows + 2) / 4.0))
-
-    def deserialize_global_state(self, blob: bytes) -> SortGlobalState:
-        return SortGlobalState.deserialize(blob)
-
-    def deserialize_local_state(self, blob: bytes) -> ChunkListLocalState:
-        return ChunkListLocalState.deserialize(blob)
-
-    def result_chunk(self, global_state: SortGlobalState) -> DataChunk:
-        if not global_state.finalized:
-            raise ValueError("sort state not finalized")
-        return global_state.result

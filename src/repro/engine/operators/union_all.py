@@ -9,49 +9,10 @@ suspension point.
 
 from __future__ import annotations
 
-import io
-
-from repro.engine.chunk import DataChunk, concat_chunks
-from repro.engine.operators.base import (
-    ChunkListLocalState,
-    GlobalSinkState,
-    Sink,
-    chunk_from_stream,
-    chunk_to_stream,
-)
+from repro.engine.operators.base import Sink
 from repro.engine.types import Schema
 
-__all__ = ["UnionAllSink", "UnionGlobalState"]
-
-
-class UnionGlobalState(GlobalSinkState):
-    """Buffered chunks from one union branch, then the merged chunk."""
-
-    def __init__(self) -> None:
-        self.pending: list[DataChunk] = []
-        self.result: DataChunk | None = None
-        self.finalized = False
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(c.nbytes for c in self.pending)
-        if self.result is not None:
-            total += self.result.nbytes
-        return int(total)
-
-    def serialize(self) -> bytes:
-        if not self.finalized:
-            raise ValueError("cannot serialize an unfinalized union state")
-        buffer = io.BytesIO()
-        chunk_to_stream(buffer, self.result)
-        return buffer.getvalue()
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "UnionGlobalState":
-        state = cls()
-        state.result = chunk_from_stream(io.BytesIO(blob))
-        state.finalized = True
-        return state
+__all__ = ["UnionAllSink"]
 
 
 class UnionAllSink(Sink):
@@ -62,32 +23,3 @@ class UnionAllSink(Sink):
     def __init__(self, input_schema: Schema):
         super().__init__(input_schema)
         self.output_schema = input_schema
-
-    def make_local_state(self) -> ChunkListLocalState:
-        return ChunkListLocalState()
-
-    def make_global_state(self) -> UnionGlobalState:
-        return UnionGlobalState()
-
-    def sink(self, state: ChunkListLocalState, chunk: DataChunk) -> None:
-        state.chunks.append(chunk)
-
-    def combine(self, global_state: UnionGlobalState, local_state: ChunkListLocalState) -> None:
-        global_state.pending.extend(local_state.chunks)
-        local_state.chunks = []
-
-    def finalize(self, global_state: UnionGlobalState) -> None:
-        global_state.result = concat_chunks(self.input_schema, global_state.pending)
-        global_state.pending = []
-        global_state.finalized = True
-
-    def deserialize_global_state(self, blob: bytes) -> UnionGlobalState:
-        return UnionGlobalState.deserialize(blob)
-
-    def deserialize_local_state(self, blob: bytes) -> ChunkListLocalState:
-        return ChunkListLocalState.deserialize(blob)
-
-    def result_chunk(self, global_state: UnionGlobalState) -> DataChunk:
-        if not global_state.finalized:
-            raise ValueError("union state not finalized")
-        return global_state.result

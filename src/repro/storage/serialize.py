@@ -42,7 +42,6 @@ __all__ = [
     "deserialize_named_arrays",
     "write_json",
     "read_json",
-    "array_nbytes",
 ]
 
 _U32 = struct.Struct("<I")
@@ -52,11 +51,6 @@ _I64 = struct.Struct("<q")
 
 class SerializationError(ValueError):
     """Raised when a payload cannot be serialized or parsed."""
-
-
-def array_nbytes(array: np.ndarray) -> int:
-    """Payload size in bytes that :func:`write_array` will emit for data."""
-    return int(array.nbytes)
 
 
 def write_array(stream: BinaryIO, array: np.ndarray) -> int:

@@ -13,13 +13,27 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.engine.chunk import DataChunk
 from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
+from repro.engine.operators import (
+    AggFunc,
+    AggSpec,
+    HashAggregateSink,
+    HashJoinBuildSink,
+    LimitSink,
+    ResultSink,
+    SortSink,
+    UnionAllSink,
+)
 from repro.engine.profile import HardwareProfile
+from repro.engine.types import DataType, Schema
 from repro.obs.audit import DecisionJournal
 from repro.optimizer import optimize_plan
+from repro.storage import codec as codec_mod
 from repro.suspend import (
     PipelineLevelStrategy,
     ProcessLevelStrategy,
@@ -232,6 +246,114 @@ class TestGoldenBytes:
             legacy = tmp_path / f"legacy{step}"
             write_container(legacy, "process", header, states, local_blobs)
             assert sha256(legacy) == PARENT_PROCESS_IMAGES[query][step]
+
+
+#: One fixed chunk with int, float and ``<U`` columns, large enough that the
+#: adaptive codec encodes some of its arrays.
+SINK_INPUT = DataChunk(
+    Schema.of(("g", DataType.INT64), ("x", DataType.FLOAT64), ("s", DataType.STRING)),
+    [
+        np.arange(400, dtype=np.int64) % 7,
+        np.arange(400, dtype=np.float64) * 0.25,
+        np.array([f"k{i % 5}" for i in range(400)], dtype="U3"),
+    ],
+)
+SINKS = {
+    "result": lambda schema: ResultSink(schema),
+    "limit": lambda schema: LimitSink(schema, 100),
+    "sort": lambda schema: SortSink(schema, [("s", False), ("x", True)], limit=50),
+    "union_all": lambda schema: UnionAllSink(schema),
+    "aggregate": lambda schema: HashAggregateSink(
+        schema, ["g"], [AggSpec("n", AggFunc.COUNT_DISTINCT, "s"), AggSpec("t", AggFunc.SUM, "x")]
+    ),
+    "join_build": lambda schema: HashJoinBuildSink(schema, ["g"]),
+}
+#: sha256 of (finalized global state, local state) bytes per sink kind and
+#: codec, recorded by running sink_state_bytes at the parent of the commit
+#: that collapsed the per-sink state classes into MaterializedState.
+SINK_STATE_GOLDEN = {
+    "aggregate:raw": (
+        "3e8ae07b63f84c8c327cd51b87030c08452cd6fb65cd23010d1eb105850eddc0",
+        "d5355f0965e9b052863d96cc4d227a9a6fe88db498469120973acd5b0ab51afc",
+    ),
+    "aggregate:adaptive": (
+        "3e8ae07b63f84c8c327cd51b87030c08452cd6fb65cd23010d1eb105850eddc0",
+        "cd0c4b3f33a28e1e5c6907da75bf392dc26918dd8906fc1922318385becbf900",
+    ),
+    "join_build:raw": (
+        "29677662fe259c6ecc78f4b3bc9f1ddce9b2f32c3ecce2f8aa3545d38513c2bf",
+        "3a433adbe8f3eaa8854e57dedba7bb42b997a22ce1f0c8f78f50befbfab72090",
+    ),
+    "join_build:adaptive": (
+        "54a682673b03a5e8a43860afccde5dc9b23922856b38aec288dd5f71af78da57",
+        "31eaed3e5b614e07039f6ee70f68f79a57e7d86b6ef6cca5264ac86fbbffa515",
+    ),
+    "limit:raw": (
+        "7ec21aa60d4c417b3724d42dfa3ba6a4b580c0f269161ea8d06eb9d25232c1b3",
+        "717bdc4c318d0cbbb1a9d14fe7cee50308707761867adf097d44518585dd27de",
+    ),
+    "limit:adaptive": (
+        "d6f678b794d8fc815742300c524bebdd252dd2ccb6a47267d3884529a36fe2cc",
+        "2018dbac216e002c3eb553199d81aed50c7fcb0aac1a1202133783ba92247ca5",
+    ),
+    "result:raw": (
+        "8d2ae86718ea28cb497d52eb6dd278ada43c7bffd823800ca028d6fb6e26c9f7",
+        "3a433adbe8f3eaa8854e57dedba7bb42b997a22ce1f0c8f78f50befbfab72090",
+    ),
+    "result:adaptive": (
+        "b1a0c701c9c93ef81aa0b3408cdee1faa9b395e0a094d23413e70194456d6caf",
+        "31eaed3e5b614e07039f6ee70f68f79a57e7d86b6ef6cca5264ac86fbbffa515",
+    ),
+    "sort:raw": (
+        "fef56d4b35dd5f3505a13e84707c5173e4fe540d2cef507b5690f22f0d06169c",
+        "3a433adbe8f3eaa8854e57dedba7bb42b997a22ce1f0c8f78f50befbfab72090",
+    ),
+    "sort:adaptive": (
+        "f5d13b3748ced39430ea69c68a28da62ed80fc108ebcf63b038ebb6a5ba0291b",
+        "31eaed3e5b614e07039f6ee70f68f79a57e7d86b6ef6cca5264ac86fbbffa515",
+    ),
+    "union_all:raw": (
+        "8d2ae86718ea28cb497d52eb6dd278ada43c7bffd823800ca028d6fb6e26c9f7",
+        "3a433adbe8f3eaa8854e57dedba7bb42b997a22ce1f0c8f78f50befbfab72090",
+    ),
+    "union_all:adaptive": (
+        "b1a0c701c9c93ef81aa0b3408cdee1faa9b395e0a094d23413e70194456d6caf",
+        "31eaed3e5b614e07039f6ee70f68f79a57e7d86b6ef6cca5264ac86fbbffa515",
+    ),
+}
+
+
+def sink_state_bytes(kind, codec_name):
+    """Local and finalized global state bytes of one sink over SINK_INPUT.
+
+    Also asserts that both round-trip through the sink's deserializers and
+    that the global state refuses to serialize before finalize.
+    """
+    sink = SINKS[kind](SINK_INPUT.schema)
+    half = SINK_INPUT.num_rows // 2
+    with codec_mod.encoding(codec_name):
+        local = sink.make_local_state()
+        sink.sink(local, SINK_INPUT.slice(0, half))
+        sink.sink(local, SINK_INPUT.slice(half, SINK_INPUT.num_rows))
+        local_bytes = local.serialize()
+        assert sink.deserialize_local_state(local_bytes).serialize() == local_bytes
+        state = sink.make_global_state()
+        sink.combine(state, local)
+        with pytest.raises(ValueError):
+            state.serialize()
+        sink.finalize(state)
+        global_bytes = state.serialize()
+        assert sink.deserialize_global_state(global_bytes).serialize() == global_bytes
+    return global_bytes, local_bytes
+
+
+class TestSinkStateBytes:
+    @pytest.mark.parametrize("codec_name", ["raw", "adaptive"])
+    @pytest.mark.parametrize("kind", sorted(SINKS))
+    def test_state_bytes_are_pinned(self, kind, codec_name):
+        global_bytes, local_bytes = sink_state_bytes(kind, codec_name)
+        digests = tuple(hashlib.sha256(blob).hexdigest() for blob in (global_bytes, local_bytes))
+        assert digests == SINK_STATE_GOLDEN[f"{kind}:{codec_name}"]
 
 
 @pytest.fixture(scope="module")

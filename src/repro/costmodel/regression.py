@@ -96,10 +96,6 @@ class RegressionSizeEstimator:
         return f"RegressionSizeEstimator(trained_on={self._num_samples})"
 
     @property
-    def is_fitted(self) -> bool:
-        return self._coefficients is not None
-
-    @property
     def coefficients(self) -> dict[str, float]:
         """Fitted weights keyed by feature name."""
         if self._coefficients is None:

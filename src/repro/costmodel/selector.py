@@ -40,9 +40,6 @@ class SelectorDecision:
     #: (``None`` when the selector runs without a journal attached).
     audit_seq: int | None = None
 
-    def cost_of(self, strategy: str) -> float:
-        return self.costs[strategy].cost
-
 
 @dataclass
 class AdaptiveStrategySelector:

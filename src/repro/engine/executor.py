@@ -361,7 +361,6 @@ class QueryExecutor:
 
     def _run_pipeline(self, position: int, pipeline: Pipeline) -> None:
         source = self._make_source(pipeline)
-        self._bind_probe_states(pipeline)
         sink = pipeline.sink
         resuming_here = (
             self._resume is not None
@@ -394,6 +393,7 @@ class QueryExecutor:
         run.batch_start_morsel = run.next_morsel
         run.batch_started_at = run.started_at
 
+        self._bind_probe_states(run)
         self.config.backend.run_morsels(self, position, run, source.morsel_count)
         self._finish_pipeline(position, run)
 
@@ -630,9 +630,24 @@ class QueryExecutor:
             return ExchangeSource(exchange_input, self.config.morsel_size)
         raise EngineError(f"unknown source kind {spec.kind!r}")
 
-    def _bind_probe_states(self, pipeline: Pipeline) -> None:
-        for operator in pipeline.operators:
+    def _bind_probe_states(self, run: _PipelineRun) -> None:
+        """Bind each operator to the completed build states it probes.
+
+        Runs on the coordinator before the first morsel (and before any
+        fork).  With a profiler attached, kernel calls made while binding
+        (the dense probe index build) are timed under the binding
+        operator's slot, like the calls of a morsel.
+        """
+        recorder = None
+        if self.obs.profiling:
+            recorder = self.obs.profiler.kernel_recorder
+            recorder.begin()
+        for slot, operator in enumerate(run.pipeline.operators, start=1):
+            if recorder is not None:
+                recorder.slot = slot
             operator.bind_state(self.completed_states)
+        if recorder is not None:
+            self.obs.profiler.record_bind(run, recorder.take())
 
     # -- captures ------------------------------------------------------------
     def _context(self, position: int, run: _PipelineRun, at_breaker: bool) -> BoundaryContext:

@@ -19,10 +19,18 @@ set of carefully matched invariants:
 * scatter reductions accumulate in input-row order (``np.bincount`` with
   weights adds sequentially in C; the scalar loop does the same IEEE
   double additions in the same order);
+* all-integer group keys skip the packing but not the order: the
+  ``memcmp`` order of a little-endian int64 is the numeric order of the
+  byte-swapped ``uint64`` (the most significant byte compares first), and
+  a bool packs as one byte, so a ``np.unique`` over one byte-swapped
+  column, or a stable ``np.lexsort`` over several, numbers the groups and
+  picks the first rows exactly as the void path does;
 * the build order is a stable sort of the key codes (``np.argsort(kind=
-  "stable")`` vs Python's stable ``sorted``), probe ranges come from
-  binary search (``np.searchsorted`` vs ``bisect``), and match expansion
-  is probe-major with ascending build positions in both paths;
+  "stable")`` vs Python's stable ``sorted``), probe ranges equal binary
+  search (``bisect`` in the scalar set; in the numpy set a dense index
+  or ``np.searchsorted``, see :meth:`NumpyKernels.probe_index`), and
+  match expansion is probe-major with ascending build positions in both
+  paths;
 * expression evaluation relies on every expression having a
   value-independent result dtype (see :mod:`repro.engine.expressions`),
   so concatenating per-row evaluations equals the full-vector result.
@@ -46,6 +54,7 @@ workers inherit the active set from the parent.
 from __future__ import annotations
 
 import bisect
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +62,7 @@ from repro.engine.errors import EngineError
 from repro.engine.keys import combine_int_keys, group_rows
 
 __all__ = [
+    "DenseProbeIndex",
     "KernelSet",
     "NumpyKernels",
     "ScalarKernels",
@@ -63,6 +73,28 @@ __all__ = [
 ]
 
 KERNEL_NAMES = ("scalar", "numpy")
+
+# A dense probe index covers builds whose key span is at most this many
+# slots, whatever the build's row count: the hot TPC-H probes run against
+# small builds over wide key ranges (DESIGN.md, "Dense probe index"), and
+# a fixed bound caps the index at 2 x 8 x (span + 2) bytes.
+_DENSE_SPAN_MAX = 1 << 18
+_INT64 = np.iinfo(np.int64)
+
+
+class DenseProbeIndex(NamedTuple):
+    """Per-slot match ranges over ``[below, above]`` for sorted build codes.
+
+    Slot ``0`` stands for every probe code below the smallest build code
+    and the last slot for every code above the largest; both hold no
+    matches.  ``first[s]`` and ``first[s] + count[s]`` are then the
+    ``searchsorted`` left/right bounds of code ``below + s``.
+    """
+
+    below: int
+    above: int
+    first: np.ndarray
+    count: np.ndarray
 
 
 class KernelSet:
@@ -105,10 +137,21 @@ class KernelSet:
         """Stable sort of build codes: ``(codes_sorted, order)``."""
         raise NotImplementedError
 
+    def probe_index(self, codes_sorted: np.ndarray) -> object | None:
+        """Derived lookup for :meth:`probe_ranges`, or None for binary search.
+
+        Built once per bound build; never serialized or memory-accounted.
+        """
+        return None
+
     def probe_ranges(
-        self, codes_sorted: np.ndarray, probe_codes: np.ndarray
+        self, codes_sorted: np.ndarray, probe_codes: np.ndarray, index: object | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-probe-row ``[left, right)`` match range in the sorted codes."""
+        """Per-probe-row ``[left, right)`` match range in the sorted codes.
+
+        *index* is this set's :meth:`probe_index` of *codes_sorted*; it
+        changes how the ranges are found, never what they are.
+        """
         raise NotImplementedError
 
     def expand_matches(
@@ -162,7 +205,32 @@ class NumpyKernels(KernelSet):
         order = np.argsort(codes, kind="stable").astype(np.int64)
         return codes[order], order
 
-    def probe_ranges(self, codes_sorted, probe_codes):
+    def probe_index(self, codes_sorted):
+        """A :class:`DenseProbeIndex` when the build keys span few slots.
+
+        Taken for non-empty int64 builds whose span ``hi - lo + 1`` is at
+        most ``2**18`` and whose padding slots ``lo - 1`` / ``hi + 1`` are
+        representable; the rest use ``searchsorted``.
+        """
+        if len(codes_sorted) == 0 or codes_sorted.dtype != np.int64:
+            return None
+        lo, hi = int(codes_sorted[0]), int(codes_sorted[-1])
+        if lo == _INT64.min or hi == _INT64.max:
+            return None
+        span = hi - lo + 1
+        if span > _DENSE_SPAN_MAX:
+            return None
+        count = np.zeros(span + 2, dtype=np.int64)
+        count[1:-1] = np.bincount(codes_sorted - codes_sorted[0], minlength=span)
+        first = np.cumsum(count) - count
+        return DenseProbeIndex(lo - 1, hi + 1, first, count)
+
+    def probe_ranges(self, codes_sorted, probe_codes, index=None):
+        if index is not None:
+            slot = np.clip(probe_codes, index.below, index.above)
+            slot -= index.below
+            left = index.first[slot]
+            return left, left + index.count[slot]
         left = np.searchsorted(codes_sorted, probe_codes, side="left").astype(np.int64)
         right = np.searchsorted(codes_sorted, probe_codes, side="right").astype(np.int64)
         return left, right
@@ -253,7 +321,7 @@ class ScalarKernels(KernelSet):
         )
         return codes[order], order
 
-    def probe_ranges(self, codes_sorted, probe_codes):
+    def probe_ranges(self, codes_sorted, probe_codes, index=None):
         haystack = codes_sorted.tolist()
         count = len(probe_codes)
         left = np.fromiter(

@@ -157,6 +157,7 @@ class HashJoinProbeOperator(StreamingOperator):
                     "LEFT OUTER join requires a default value for every payload column"
                 )
         self._build_state: JoinBuildGlobalState | None = None
+        self._probe_index: object | None = None
         self._payload_cols: list[np.ndarray] | None = None
         self._match_buffer: np.ndarray | None = None
 
@@ -168,6 +169,10 @@ class HashJoinProbeOperator(StreamingOperator):
         if not isinstance(state, JoinBuildGlobalState) or not state.finalized:
             raise ValueError("probe bound to a non-finalized join build state")
         self._build_state = state
+        # The probe index is derived from the build codes and lives here,
+        # not on the state: it is never serialized or memory-accounted,
+        # and a resumed query rebuilds it from the reloaded codes.
+        self._probe_index = get_kernels().probe_index(state.codes_sorted)
         # Resolve payload columns once; per-chunk name lookups add up on
         # large probe sides.
         self._payload_cols = [
@@ -182,7 +187,9 @@ class HashJoinProbeOperator(StreamingOperator):
         probe_codes = kernels.join_codes(
             [chunk.column(name) for name in self.probe_keys]
         )
-        left, right = kernels.probe_ranges(build.codes_sorted, probe_codes)
+        left, right = kernels.probe_ranges(
+            build.codes_sorted, probe_codes, self._probe_index
+        )
         counts = (right - left).astype(np.int64)
 
         if self.join_type in (JoinType.SEMI, JoinType.ANTI) and self.residual is None:

@@ -202,11 +202,6 @@ class DecisionJournal:
         ]
         return cls(records)
 
-    @classmethod
-    def read_jsonl(cls, path: str | os.PathLike) -> "DecisionJournal":
-        with open(path, "r", encoding="utf-8") as stream:
-            return cls.from_jsonl(stream.read())
-
 
 def resolve_adaptive_action(
     chosen: str, at_breaker: bool, now: float, planned: float | None

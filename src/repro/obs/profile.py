@@ -106,9 +106,10 @@ class KernelRecorder:
 
     The executor sets ``slot`` before running each operator; the
     :class:`ProfilingKernels` wrapper adds its measured call durations
-    under that slot.  ``begin``/``take`` bracket one morsel, so kernel
-    calls outside a morsel (e.g. inside a sink's ``finalize``) are
-    discarded rather than misattributed.
+    under that slot.  ``begin``/``take`` bracket one morsel (or the
+    binding of one pipeline's probe states), so other kernel calls (e.g.
+    inside a sink's ``finalize``) are discarded rather than
+    misattributed.
     """
 
     __slots__ = ("slot", "_wall")
@@ -193,10 +194,17 @@ class ProfilingKernels(KernelSet):
         finally:
             self._recorder.add("build_order", time.perf_counter() - started)
 
-    def probe_ranges(self, codes_sorted, probe_codes):
+    def probe_index(self, codes_sorted):
         started = time.perf_counter()
         try:
-            return self._inner.probe_ranges(codes_sorted, probe_codes)
+            return self._inner.probe_index(codes_sorted)
+        finally:
+            self._recorder.add("probe_index", time.perf_counter() - started)
+
+    def probe_ranges(self, codes_sorted, probe_codes, index=None):
+        started = time.perf_counter()
+        try:
+            return self._inner.probe_ranges(codes_sorted, probe_codes, index)
         finally:
             self._recorder.add("probe_ranges", time.perf_counter() - started)
 
@@ -441,6 +449,19 @@ class QueryProfiler:
         self.worker_profile(profile.worker, profile.pid).record(
             profile, self._t0, pipeline_id
         )
+
+    def record_bind(self, run, kernel_wall: dict) -> None:
+        """Kernel wall time of binding the pipeline's probe states.
+
+        Binding runs on the coordinator before the first morsel, so its
+        kernel seconds count toward the binding operator's wall and
+        kernel totals but not toward its morsel count.
+        """
+        ops = run.stats.operators
+        for (slot, method), seconds in kernel_wall.items():
+            entry = self._operator(run.pipeline.pipeline_id, slot, ops[slot])
+            entry.wall_seconds += seconds
+            entry.kernels[method] = entry.kernels.get(method, 0.0) + seconds
 
     def record_breaker(self, run, seconds: float) -> None:
         """Coordinator-side combine+finalize wall time, on the sink slot."""

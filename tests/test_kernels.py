@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.chunk import DataChunk
 from repro.engine.errors import EngineError
@@ -35,6 +37,7 @@ from repro.engine.kernels import (
     resolve_kernels,
     set_kernels,
 )
+from repro.engine.keys import group_rows, pack_rows
 from repro.engine.types import DataType, Schema
 
 NUMPY = NumpyKernels()
@@ -152,6 +155,124 @@ class TestJoinPrimitives:
     def test_join_codes_shared(self):
         keys = [np.array([3, 1, 3], dtype=np.int64), np.array([0, 2, 0], dtype=np.int64)]
         assert_bit_identical(NUMPY.join_codes(keys), SCALAR.join_codes(keys))
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# The dense-index span bound.
+DENSE_SPAN_MAX = 1 << 18
+
+
+@st.composite
+def probe_cases(draw):
+    """(build codes, probe codes) over the key shapes the dense index meets.
+
+    dense and duplicated keys, spans one slot either side of the bound,
+    negative keys, keys at the int64 extremes, composite two-column codes,
+    empty builds and empty probes.
+    """
+    shape = draw(
+        st.sampled_from(
+            ["dense", "duplicated", "at_bound", "negative", "near_min", "near_max",
+             "composite"]
+        )
+    )
+    rows = draw(st.integers(0, 40))
+    if shape == "composite":
+        highs = draw(st.sampled_from([[0], [7], [0, 1], [2**31 - 1]]))
+        high = np.array(draw(st.lists(st.sampled_from(highs), min_size=rows, max_size=rows)))
+        low = np.array(
+            draw(st.lists(st.integers(0, 2**31 - 1), min_size=rows, max_size=rows))
+        )
+        build = NUMPY.join_codes([high, low]) if rows else np.empty(0, dtype=np.int64)
+        pool = build.tolist() + [0, 1, (7 << 32) - 1, 2**63 - 1]
+    else:
+        lo, span = {
+            "dense": (0, 20),
+            "duplicated": (5, 3),
+            "at_bound": (
+                draw(st.integers(-(2**40), 2**40)),
+                DENSE_SPAN_MAX + draw(st.sampled_from([-1, 0, 1])),
+            ),
+            "negative": (-1000, 600),
+            "near_min": (INT64_MIN + draw(st.integers(0, 2)), 50),
+            "near_max": (INT64_MAX - 49 - draw(st.integers(0, 2)), 50),
+        }[shape]
+        offsets = draw(st.lists(st.integers(0, span - 1), min_size=rows, max_size=rows))
+        if rows >= 2:
+            offsets[:2] = [0, span - 1]
+        build = np.array([lo + offset for offset in offsets], dtype=np.int64)
+        hi = lo + span - 1
+        pool = [lo + offset for offset in offsets] + [
+            max(lo - 1, INT64_MIN), min(hi + 1, INT64_MAX), lo, hi, (lo + hi) // 2
+        ]
+    pool += [INT64_MIN, INT64_MAX]
+    probe = draw(st.lists(st.sampled_from(pool), max_size=60))
+    return build.astype(np.int64), np.array(probe, dtype=np.int64)
+
+
+class TestDenseProbeIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(probe_cases())
+    def test_dense_ranges_equal_binary_search(self, case):
+        build, probe = case
+        codes_sorted, _ = NUMPY.build_order(build)
+        index = NUMPY.probe_index(codes_sorted)
+        expect_dense = (
+            len(codes_sorted) > 0
+            and INT64_MIN < codes_sorted[0]
+            and codes_sorted[-1] < INT64_MAX
+            and int(codes_sorted[-1]) - int(codes_sorted[0]) + 1 <= DENSE_SPAN_MAX
+        )
+        assert (index is not None) == expect_dense
+        left, right = NUMPY.probe_ranges(codes_sorted, probe, index)
+        for oracle in (
+            SCALAR.probe_ranges(codes_sorted, probe),
+            NUMPY.probe_ranges(codes_sorted, probe),
+        ):
+            assert_bit_identical(left, oracle[0])
+            assert_bit_identical(right, oracle[1])
+
+    def test_scalar_set_has_no_index(self):
+        assert SCALAR.probe_index(np.arange(5, dtype=np.int64)) is None
+
+    def test_non_int64_codes_use_binary_search(self):
+        assert NUMPY.probe_index(np.arange(5, dtype=np.int32)) is None
+
+
+# Values on either side of a byte boundary, so the byte-swapped order
+# differs from the little-endian byte order wherever it could.
+BYTE_EDGES = [-1, 0, 1, 255, 256, 65535, 65536, -256, 2**40, INT64_MIN, INT64_MAX]
+
+
+@st.composite
+def int_key_columns(draw):
+    rows = draw(st.integers(0, 80))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = np.array(
+            draw(st.lists(st.sampled_from(BYTE_EDGES), min_size=rows, max_size=rows)),
+            dtype=np.int64,
+        )
+        dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]))
+        columns.append(values.astype(dtype))
+    return columns
+
+
+class TestIntegerGrouping:
+    @settings(max_examples=300, deadline=None)
+    @given(int_key_columns())
+    def test_int_keys_group_like_the_void_path(self, columns):
+        ids, first, count = group_rows(columns)
+        _, void_first, void_ids = np.unique(
+            pack_rows(columns), return_index=True, return_inverse=True
+        )
+        assert count == len(void_first)
+        assert_bit_identical(ids, void_ids.astype(np.int64))
+        assert_bit_identical(first, void_first.astype(np.int64))
+        s_ids, s_first, s_count = SCALAR.group_rows(columns)
+        assert count == s_count
+        assert_bit_identical(ids, s_ids)
+        assert_bit_identical(first, s_first)
 
 
 EXPR_SCHEMA = Schema.of(

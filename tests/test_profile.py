@@ -11,16 +11,19 @@ collapsed stacks.
 
 from __future__ import annotations
 
+import inspect
 import json
 import multiprocessing
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.engine.clock import SimulatedClock
 from repro.engine.errors import QuerySuspended
 from repro.engine.executor import QueryExecutor
+from repro.engine.kernels import KernelSet, NumpyKernels
 from repro.engine.profile import HardwareProfile
 from repro.engine.stats import OperatorStats
 from repro.harness.bench import median_overhead_ratio
@@ -28,7 +31,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     LATENCY_BUCKETS,
     PROFILE_FORMAT,
+    KernelRecorder,
     MorselProfile,
+    ProfilingKernels,
     QueryProfiler,
     validate_profile,
     write_collapsed_stacks,
@@ -174,6 +179,57 @@ def test_profile_cli_report(tmp_path, capsys):
     validate_profile(json.loads(out.read_text()))
     for line in stacks.read_text().splitlines():
         assert re.fullmatch(r"\S+ \d+", line), line
+
+
+# -- the wrapper times the shipped kernel path ---------------------------------
+
+
+def test_profiling_kernels_override_every_kernel_method():
+    """A method the wrapper inherits would run the base class, not the inner set."""
+    public = {
+        name for name, _ in inspect.getmembers(KernelSet, inspect.isfunction)
+        if not name.startswith("_")
+    }
+    missing = sorted(public - set(vars(ProfilingKernels)))
+    assert not missing, f"ProfilingKernels does not forward {missing}"
+
+
+def test_profiling_kernels_forward_the_probe_index():
+    seen = []
+
+    class Spy(NumpyKernels):
+        def probe_ranges(self, codes_sorted, probe_codes, index=None):
+            seen.append(index)
+            return super().probe_ranges(codes_sorted, probe_codes, index)
+
+    recorder = KernelRecorder()
+    wrapped = ProfilingKernels(Spy(), recorder)
+    codes = np.arange(10, dtype=np.int64)
+    recorder.begin()
+    index = wrapped.probe_index(codes)
+    assert index is not None
+    wrapped.probe_ranges(codes, np.array([3, 11], dtype=np.int64), index)
+    assert seen == [index]
+    assert {method for _, method in recorder.take()} == {"probe_index", "probe_ranges"}
+
+
+def test_profiled_run_takes_the_dense_probe(tpch_tiny, monkeypatch):
+    indexed = []
+    probe_ranges = NumpyKernels.probe_ranges
+
+    def spy(self, codes_sorted, probe_codes, index=None):
+        indexed.append(index is not None)
+        return probe_ranges(self, codes_sorted, probe_codes, index)
+
+    monkeypatch.setattr(NumpyKernels, "probe_ranges", spy)
+    profiler = QueryProfiler()
+    run_query(tpch_tiny, "Q9", "simulated", profiler=profiler)
+    assert indexed and any(indexed)
+    # The index is built while binding, before the first morsel; its
+    # time still lands on the probing operator.
+    builders = [op for op in profiler.operators.values() if "probe_index" in op.kernels]
+    assert builders and all("probe_ranges" in op.kernels for op in builders)
+    assert all(op.wall_seconds >= sum(op.kernels.values()) for op in builders)
 
 
 # -- unit: merge math on stub runs -------------------------------------------

@@ -4,16 +4,20 @@
 A spot instance may be revoked inside an announced time window.  This
 example runs a TPC-H query under that threat with each fixed strategy and
 with Riveter's adaptive selection, then compares the busy time (execution
-plus suspension work, excluding the away-gap).
+plus suspension work, excluding the away-gap).  Part two swaps revocations
+for price spikes: a one-worker fleet runs only inside the windows an
+hourly budget can afford, against paying through every spike.
 
 Run:  python examples/spot_instance_simulation.py
 """
 
 import tempfile
 
-from repro.cloud import EphemeralEnvironment, QueryRunner
+from repro.cloud import EphemeralEnvironment, PriceTrace, QueryRunner
 from repro.costmodel import AdaptiveStrategySelector, TerminationProfile
 from repro.costmodel.optimizer_est import OptimizerSizeEstimator
+from repro.fleet import FleetCluster, QueryArrival, make_policy
+from repro.fleet.slo import dollars_for_slices
 from repro.harness.report import format_table
 from repro.tpch import build_query, generate_catalog
 
@@ -90,32 +94,42 @@ def main() -> None:
           f"({'spiked' if price > environment.prices.base_price else 'normal'})")
 
     # Part two: price spikes instead of revocations (§I's 200–400× surges).
-    from repro.cloud.pricing import PriceAwareRunner
-    from repro.cloud.environment import PriceTrace
-
+    # A budget turns the price trace into the windows a worker may run in;
+    # the pay-through baseline is the same one-worker fleet with no trace.
     print("\nPrice-aware execution through 300× spot-price spikes:")
     spiky = PriceTrace(
         base_price=1.0, spike_multiplier=300.0, spike_probability=0.4,
         segment_seconds=normal_time / 5.0, seed=9,
     )
-    price_runner = PriceAwareRunner(
-        catalog, spiky, budget_per_hour=10.0, profile=environment.profile,
-        snapshot_dir=tempfile.mkdtemp(prefix="riveter-prices-"),
-        morsel_size=4096, strategy="process",
-    )
-    budgeted = price_runner.run_budgeted(plan, QUERY)
-    baseline = price_runner.run_through_spikes(plan, QUERY)
+    horizon = normal_time * 10.0
+    arrival = QueryArrival(QUERY, "spot", "analytic", QUERY, 0.0, False, 1.0, 1.0)
+    runs = {}
+    for label, availability, duration in (
+        ("budget-aware", [spiky.affordable(10.0, horizon)], horizon),
+        ("pay-through", None, 0.0),
+    ):
+        cluster = FleetCluster(
+            catalog, make_policy("suspend-aware"), workers=1,
+            profile=environment.profile,
+            snapshot_dir=tempfile.mkdtemp(prefix="riveter-prices-"),
+            morsel_size=4096,
+        )
+        result = cluster.run([arrival], duration, availability=availability)
+        dollars = dollars_for_slices(result.workers[0].run_slices, spiky)
+        runs[label] = (result.completions[0], dollars)
+    baseline, baseline_dollars = runs["pay-through"]
+    budgeted, budgeted_dollars = runs["budget-aware"]
     print(
-        f"  pay-through baseline: ${baseline.dollars:.4f}, "
-        f"finishes at t={baseline.finish_wall_time:.0f}s"
+        f"  pay-through baseline: ${baseline_dollars:.4f}, "
+        f"finishes at t={baseline.finished_at:.0f}s"
     )
     print(
-        f"  budget-aware (suspend in spikes): ${budgeted.dollars:.4f} "
-        f"({baseline.dollars / max(budgeted.dollars, 1e-12):.0f}× cheaper), "
-        f"finishes at t={budgeted.finish_wall_time:.0f}s "
-        f"after {budgeted.suspensions} suspension(s)"
+        f"  budget-aware (suspend in spikes): ${budgeted_dollars:.4f} "
+        f"({baseline_dollars / max(budgeted_dollars, 1e-12):.0f}× cheaper), "
+        f"finishes at t={budgeted.finished_at:.0f}s "
+        f"after {budgeted.suspensions} suspension(s), "
+        f"{budgeted.lost_segments} lost window(s)"
     )
-
 
 if __name__ == "__main__":
     main()

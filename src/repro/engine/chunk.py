@@ -16,12 +16,15 @@ materialized* — the quantity the optimizer exists to shrink.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.engine.types import Schema
 
 __all__ = [
     "DataChunk",
+    "chunk_digest",
     "concat_chunks",
     "materialized_bytes",
     "record_materialization",
@@ -287,3 +290,12 @@ def concat_chunks(schema: Schema, chunks: list[DataChunk]) -> DataChunk:
     ]
     record_materialization(sum(c.nbytes for c in columns))
     return DataChunk(schema, columns)
+
+
+def chunk_digest(chunk: DataChunk) -> str:
+    """Byte-for-byte identity of a result chunk (names, dtypes, shapes, data)."""
+    digest = hashlib.sha1()
+    for name, array in zip(chunk.schema.names, chunk.arrays()):
+        digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()

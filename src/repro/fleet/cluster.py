@@ -5,13 +5,16 @@ The fleet is the paper's Case 1 scheduler (§II-B) at any scale —
 is the single-worker case, with no reclamations since a worker is
 permanently available past its (empty) trace.  In general it runs ``N``
 simulated workers, each running one query at a time on the
-shared virtual clock, each subject to spot reclamation through a seeded
-:class:`~repro.cloud.availability.AvailabilityTrace`-style window list.
-Long-running analytics are preempted through the pipeline-level
-suspension strategy whenever interactive work would otherwise wait
-(policy permitting), and queries cut down by a reclamation restart from
-their last snapshot — the §VI multiple-suspensions machinery exercised by
-an entire workload rather than one query.
+shared virtual clock, each subject to spot reclamation through an
+:class:`~repro.cloud.availability.AvailabilityTrace` — seeded per worker, or
+given by the caller (a zero-carbon forecast, or a price budget through
+:meth:`~repro.cloud.environment.PriceTrace.affordable`), which makes the
+fleet the one driver that runs a query across windows.  Long-running
+analytics are preempted through the pipeline-level suspension strategy
+whenever interactive work would otherwise wait (policy permitting), and
+queries cut down by a reclamation restart from their last snapshot — the
+§VI multiple-suspensions machinery exercised by an entire workload rather
+than one query.
 
 Everything is deterministic: arrivals come pre-sorted from
 :mod:`repro.fleet.workload`, ties break on instance names, workers are
@@ -45,8 +48,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cloud.availability import DeadlineController
+from repro.cloud.availability import AvailabilityTrace, AvailabilityWindow
 from repro.cloud.segments import SegmentTimeline
+from repro.engine.chunk import chunk_digest
 from repro.engine.clock import SimulatedClock
 from repro.engine.config import ExecutionConfig
 from repro.engine.controller import ExecutionController
@@ -60,6 +64,7 @@ from repro.fleet.events import (
     WorkerIndex,
 )
 from repro.fleet.macro import (
+    DeadlineController,
     MacroQueryState,
     QueryRunProfile,
     calibrate_query,
@@ -176,22 +181,19 @@ class FleetResult:
     completions: list[FleetCompletion] = field(default_factory=list)
     rejections: list[FleetRejected] = field(default_factory=list)
     workers: list[WorkerSummary] = field(default_factory=list)
-
-
-@dataclass
-class _Window:
-    start: float
-    end: float
+    #: completions whose result differs from the uninterrupted run's
+    #: (engine fidelity only; not part of the report)
+    result_mismatches: int = 0
 
 
 class _WorkerState:
     """One simulated worker: availability windows plus busy bookkeeping."""
 
-    def __init__(self, wid: int, windows: list[_Window]):
+    def __init__(self, wid: int, trace: AvailabilityTrace):
         self.wid = wid
-        self.windows = windows
+        self.windows = trace.windows
         #: sorted window ends, for the bisect in :meth:`slot_at`
-        self._ends = [window.end for window in windows]
+        self._ends = [window.end for window in self.windows]
         self.free_at = 0.0
         self.busy_seconds = 0.0
         self.reclamations = 0
@@ -203,9 +205,9 @@ class _WorkerState:
         Windows with less than :data:`MIN_SLICE_SECONDS` remaining are
         skipped; beyond the trace the worker is permanently available (the
         forecast horizon has passed), which guarantees the simulation
-        terminates.  Since every window is at least
-        :data:`MIN_SLICE_SECONDS` wide, the loop past the bisect runs at
-        most twice.
+        terminates.  Seeded windows are at least :data:`MIN_SLICE_SECONDS`
+        wide, so there the loop past the bisect runs at most twice; a given
+        trace may hold narrower windows, and the loop skips each of them.
         """
         windows = self.windows
         for index in range(bisect_right(self._ends, lower), len(windows)):
@@ -276,7 +278,7 @@ class _RunState:
 
 def _availability_windows(
     seed: int, wid: int, horizon: float, mean_on: float, mean_off: float
-) -> list[_Window]:
+) -> AvailabilityTrace:
     """Seeded on/off window list for one worker over ``[0, horizon)``.
 
     Vectorized but bit-identical to the original scalar loop: the
@@ -286,7 +288,7 @@ def _availability_windows(
     scalar ``cursor += on + off`` float additions left to right.
     """
     if horizon <= 0:
-        return []
+        return AvailabilityTrace([])
     rng = np.random.default_rng(
         np.random.SeedSequence([derive_seed(seed, "availability", wid), 0])
     )
@@ -305,7 +307,9 @@ def _availability_windows(
     count = 1 + int(np.searchsorted(cursors, horizon, side="left"))
     starts = np.concatenate(([0.0], cursors[: count - 1]))
     ends = starts + ons[:count]
-    return [_Window(float(s), float(e)) for s, e in zip(starts, ends)]
+    return AvailabilityTrace(
+        [AvailabilityWindow(float(s), float(e)) for s, e in zip(starts, ends)]
+    )
 
 
 class FleetCluster:
@@ -375,6 +379,8 @@ class FleetCluster:
             self.admission.obs = self.obs
         self._plans: dict[str, object] = {}
         self._measured: dict[str, tuple[float, int]] = {}
+        #: result digest of each query's undisturbed run (engine fidelity)
+        self._digests: dict[str, str] = {}
         #: calibrated run profiles, shareable across clusters with the
         #: same catalog/profile/execution config (e.g. the bench sweep)
         self._macro_profiles: dict[str, QueryRunProfile] = (
@@ -429,6 +435,7 @@ class FleetCluster:
                     config=self.config,
                 ).run()
                 cached = (result.stats.duration, result.peak_memory_bytes)
+                self._digests[query] = chunk_digest(result.chunk)
             self._measured[query] = cached
             self.admission.peak_memory[query] = cached[1]
         return cached
@@ -439,17 +446,30 @@ class FleetCluster:
             return FairShareReadyQueue(served_per_weight)
         return ReadyQueue(self.policy.order_key)
 
-    def run(self, arrivals: list[QueryArrival], duration: float) -> FleetResult:
-        """Simulate *arrivals* over a horizon of *duration* virtual seconds."""
-        workers = [
-            _WorkerState(
-                wid,
+    def run(
+        self,
+        arrivals: list[QueryArrival],
+        duration: float,
+        availability: list[AvailabilityTrace] | None = None,
+    ) -> FleetResult:
+        """Simulate *arrivals* over a horizon of *duration* virtual seconds.
+
+        *availability* holds one trace per worker; ``None`` draws each
+        worker's seeded windows over ``[0, duration)``.
+        """
+        if availability is None:
+            availability = [
                 _availability_windows(
                     self.seed, wid, duration, self.mean_on_seconds, self.mean_off_seconds
-                ),
+                )
+                for wid in range(self.worker_count)
+            ]
+        elif len(availability) != self.worker_count:
+            raise ValueError(
+                f"expected one availability trace per worker ({self.worker_count}), "
+                f"got {len(availability)}"
             )
-            for wid in range(self.worker_count)
-        ]
+        workers = [_WorkerState(wid, trace) for wid, trace in enumerate(availability)]
         self._workers = workers
         arrivals = sorted(arrivals, key=lambda a: (a.arrival_time, a.name))
         self._interactive_times = sorted(
@@ -658,9 +678,7 @@ class FleetCluster:
             # FIFO runs through and loses the window's progress).
             controllers.append(TerminationController(window_end))
             if self.policy.preemptive:
-                controllers.append(
-                    DeadlineController(window_end, self.profile, "pipeline")
-                )
+                controllers.append(DeadlineController(window_end, self.profile))
         if request_at is not None:
             controllers.append(self.strategy.make_request_controller(request_at))
         if not controllers:
@@ -768,6 +786,11 @@ class FleetCluster:
                 category="resume",
             )
         if outcome.kind == "complete":
+            expected = self._digests.get(query.arrival.query)
+            if expected is not None and chunk_digest(outcome.result.chunk) != expected:
+                # Engine fidelity: the result after any chain of suspensions
+                # must be the uninterrupted run's, byte for byte.
+                result.result_mismatches += 1
             self._finish_slice(query, worker, start, end, self._state.served_per_weight)
             self._complete(query, end, worker, result)
             return

@@ -300,7 +300,8 @@ class WorkerIndex:
         if earliest_ready <= top_key:
             # slot_at(max(er, free_at)) == slot_at(free_at) == top_key for
             # the top worker (feasibility margins only shrink as the lower
-            # bound grows), and no other worker can start earlier.
+            # bound grows, for windows of any width), and no other worker
+            # can start earlier.
             start, window_end = top_worker.slot_at(
                 max(earliest_ready, top_worker.free_at)
             )

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cloud.availability import DEADLINE_SAFETY
 from repro.engine.clock import SimulatedClock
 from repro.engine.config import ExecutionConfig
 from repro.engine.controller import Action, BoundaryContext, ExecutionController
@@ -45,12 +44,43 @@ from repro.storage import codec as codec_mod
 from repro.suspend.snapshot import Snapshot
 
 __all__ = [
+    "DEADLINE_SAFETY",
+    "DeadlineController",
     "QueryRunProfile",
     "MacroQueryState",
     "MacroSliceOutcome",
     "calibrate_query",
     "run_macro_slice",
 ]
+
+
+#: Multiplier on the persist estimate when timing a suspension ahead of a
+#: window end.  :func:`calibrate_query` bakes it into every breaker's
+#: ``deadline_margin``, which keeps macro fidelity byte-identical to engine.
+DEADLINE_SAFETY = 1.3
+
+
+class DeadlineController(ExecutionController):
+    """Suspends at a breaker as late as safely possible before a window end.
+
+    At each breaker but the last, suspend if the *next* breaker
+    (extrapolated from the mean pipeline time so far) plus the persist
+    estimate for the live states would land at or past the deadline.
+    :func:`run_macro_slice` replays this rule term for term.
+    """
+
+    def __init__(self, deadline: float, profile: HardwareProfile):
+        self.deadline = deadline
+        self.profile = profile
+
+    def on_pipeline_breaker(self, context: BoundaryContext) -> Action:
+        if context.pipeline_pos == context.total_pipelines - 1:
+            return Action.CONTINUE
+        margin = self.profile.persist_latency(context.pipeline_state_bytes) * DEADLINE_SAFETY
+        mean = context.stats.mean_pipeline_time
+        if context.clock_now + mean + margin >= self.deadline:
+            return Action.SUSPEND_PIPELINE
+        return Action.CONTINUE
 
 
 class _RecordingClock(SimulatedClock):

@@ -9,8 +9,7 @@ is an SLO failure the operator chose, not a free pass.
 Percentiles use the nearest-rank method on the exact latency list (no
 interpolation, no sampling), so they are bit-stable across runs and
 platforms.  Dollar cost charges every worker busy slice against a
-:class:`~repro.cloud.environment.PriceTrace` segment by segment, the same
-accounting the price-aware runner uses.
+:class:`~repro.cloud.environment.PriceTrace` segment by segment.
 
 :class:`SLOMonitor` turns the pass/fail stream into *error-budget burn
 rate*: over a sliding window the observed miss rate is divided by the
@@ -69,7 +68,9 @@ def dollars_for_slices(
     """Charge busy ``(start, end, query)`` slices against *prices*.
 
     Each slice is split at the trace's segment boundaries so a spike that
-    starts mid-slice is billed only for the covered stretch.
+    starts mid-slice is billed only for the covered stretch.  The walk
+    steps through segment indices, never re-deriving one from a boundary
+    time (``(k * step) // step`` can floor back to ``k - 1``).
     """
     step = prices.segment_seconds
     dollars = 0.0
@@ -78,14 +79,15 @@ def dollars_for_slices(
     segment_price: dict[int, float] = {}
     for start, end, _query in slices:
         cursor = start
+        segment = int(max(0.0, cursor) // step)
         while cursor < end - 1e-12:
-            segment = int(max(0.0, cursor) // step)
             price = segment_price.get(segment)
             if price is None:
-                price = segment_price[segment] = prices.price_at(cursor)
+                price = segment_price[segment] = prices.segment_price(segment)
             boundary = min(end, (segment + 1) * step)
             dollars += (boundary - cursor) / 3600.0 * price
             cursor = boundary
+            segment += 1
     return dollars
 
 

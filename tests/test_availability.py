@@ -1,36 +1,36 @@
-"""Intermittent (zero-carbon) execution across availability windows."""
+"""Intermittent (zero-carbon) execution: a one-worker fleet over a trace."""
 
 import pytest
 
-from repro.cloud.availability import (
-    AvailabilityTrace,
-    AvailabilityWindow,
-    IntermittentRunner,
-)
-from repro.engine.executor import QueryExecutor
-from repro.engine.profile import HardwareProfile
+from repro.cloud.availability import AvailabilityTrace, AvailabilityWindow
+from repro.fleet import FleetCluster, QueryArrival, fleet_report, make_policy
 from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
-from repro.suspend import PipelineLevelStrategy, ProcessLevelStrategy, RedoStrategy
-from repro.tpch import build_query
-
-from tests.conftest import assert_chunks_equal
 
 
-@pytest.fixture()
-def profile():
-    return HardwareProfile()
+def arrival(query, at=0.0):
+    return QueryArrival(query, "green", "analytic", query, at, False, 1.0, 1.0)
 
 
-def make_runner(catalog, strategy_cls, tmp_path, profile):
-    # Fine morsels keep "anytime" suspension granular at the tiny test scale.
-    return IntermittentRunner(
+def run_trace(
+    catalog, tmp_path, query, trace, policy="suspend-aware", fidelity="engine", obs=None
+):
+    """Run *query* alone on one worker over *trace*."""
+    cluster = FleetCluster(
         catalog,
-        strategy_cls(profile),
-        profile=profile,
-        snapshot_dir=tmp_path,
-        morsel_size=1024,
+        make_policy(policy),
+        workers=1,
+        snapshot_dir=tmp_path / f"{policy}-{fidelity}",
+        fidelity=fidelity,
+        obs=obs,
     )
+    result = cluster.run([arrival(query)], trace.windows[-1].end, availability=[trace])
+    assert result.result_mismatches == 0
+    return cluster, result
+
+
+def normal_time(cluster, query):
+    return cluster.measure(query)[0]
 
 
 class TestTrace:
@@ -52,113 +52,100 @@ class TestTrace:
 
 
 class TestIntermittentExecution:
-    def _normal(self, catalog, query, profile):
-        return QueryExecutor(catalog, build_query(query), profile=profile, query_name=query).run()
+    """SF-0.002 plans run 1.2–3 virtual seconds, so windows are absolute
+    lengths: the fleet skips any window under ``MIN_SLICE_SECONDS``."""
 
-    def test_single_big_window_completes_directly(self, tpch_tiny, tmp_path, profile):
-        normal = self._normal(tpch_tiny, "Q3", profile)
-        runner = make_runner(tpch_tiny, PipelineLevelStrategy, tmp_path, profile)
-        trace = AvailabilityTrace.periodic(normal.stats.duration * 10, 1.0, 1)
-        outcome = runner.run(build_query("Q3"), "Q3", trace)
-        assert outcome.completed
-        assert outcome.suspensions == 0
-        assert_chunks_equal(normal.chunk, outcome.result.chunk)
+    def test_single_big_window_completes_directly(self, tpch_tiny, tmp_path):
+        trace = AvailabilityTrace.periodic(30.0, 1.0, 1)
+        cluster, result = run_trace(tpch_tiny, tmp_path, "Q3", trace)
+        done = result.completions[0]
+        assert done.suspensions == 0 and done.lost_segments == 0
+        assert done.finished_at == normal_time(cluster, "Q3")
 
-    @pytest.mark.parametrize(
-        "strategy_cls,query,window_fraction",
-        [
-            # Pipeline-level needs each window to fit the longest pipeline;
-            # Q17's plan is made of two near-equal halves.
-            (PipelineLevelStrategy, "Q17", 0.6),
-            # Process-level advances through arbitrarily small windows.
-            (ProcessLevelStrategy, "Q3", 0.3),
-        ],
-    )
-    def test_multi_window_execution_completes(
-        self, tpch_tiny, tmp_path, profile, strategy_cls, query, window_fraction
-    ):
-        normal = self._normal(tpch_tiny, query, profile)
-        runner = make_runner(tpch_tiny, strategy_cls, tmp_path, profile)
-        trace = AvailabilityTrace.periodic(
-            normal.stats.duration * window_fraction, 10.0, 12
+    def test_multi_window_execution_completes(self, tpch_tiny, tmp_path):
+        # Q17 is two near-equal halves of ~1.25 s: one per 1.5 s window.
+        trace = AvailabilityTrace.periodic(1.5, 10.0, 12)
+        _, result = run_trace(tpch_tiny, tmp_path, "Q17", trace)
+        done = result.completions[0]
+        assert done.suspensions >= 1
+        assert done.finished_at <= trace.windows[-1].end
+
+    def test_pipeline_level_starves_on_dominating_pipeline(self, tpch_tiny, tmp_path):
+        """Windows shorter than Q3's 1.4 s lineitem pipeline: the mean pace
+        of the short pipelines before it never forecasts the outage, so
+        every window is lost and the query finishes only once the forecast
+        ends."""
+        trace = AvailabilityTrace.periodic(1.2, 10.0, 6)
+        cluster, result = run_trace(tpch_tiny, tmp_path, "Q3", trace)
+        done = result.completions[0]
+        assert done.lost_segments == len(trace.windows)
+        assert done.finished_at == pytest.approx(
+            trace.windows[-1].end + normal_time(cluster, "Q3"), rel=1e-12
         )
-        outcome = runner.run(build_query(query), query, trace)
-        assert outcome.completed, outcome
-        assert outcome.suspensions >= 1
-        assert_chunks_equal(normal.chunk, outcome.result.chunk)
 
-    def test_pipeline_level_starves_on_dominating_pipeline(self, tpch_tiny, tmp_path, profile):
-        """Windows shorter than the longest pipeline: pipeline-level cannot
-        advance past it, while process-level completes — the scenario the
-        process-level strategy exists for."""
-        normal = self._normal(tpch_tiny, "Q3", profile)
-        window = normal.stats.duration * 0.4  # < the lineitem pipeline
-        trace = AvailabilityTrace.periodic(window, 10.0, 10)
-        pipeline = make_runner(tpch_tiny, PipelineLevelStrategy, tmp_path, profile)
-        stuck = pipeline.run(build_query("Q3"), "Q3", trace)
-        assert not stuck.completed
-        assert stuck.lost_segments > 0
-        process = make_runner(tpch_tiny, ProcessLevelStrategy, tmp_path, profile)
-        done = process.run(build_query("Q3"), "Q3", trace)
-        assert done.completed
-        assert_chunks_equal(normal.chunk, done.result.chunk)
+    def test_redo_strategy_survives_only_with_big_windows(self, tpch_tiny, tmp_path):
+        """FIFO has no deadline controller: a window shorter than the query
+        loses its progress and the next one starts over (redo)."""
+        short = AvailabilityTrace.periodic(1.5, 1.0, 4)  # Q9 runs 3.0 s
+        cluster, result = run_trace(tpch_tiny, tmp_path, "Q9", short, policy="fifo")
+        done = result.completions[0]
+        assert done.suspensions == 0
+        assert done.lost_segments == 4
+        assert done.finished_at == pytest.approx(
+            short.windows[-1].end + normal_time(cluster, "Q9"), rel=1e-12
+        )
+        long = AvailabilityTrace.periodic(6.0, 1.0, 1)
+        _, result = run_trace(tpch_tiny, tmp_path / "long", "Q9", long, policy="fifo")
+        assert result.completions[0].lost_segments == 0
 
-    def test_redo_strategy_survives_only_with_big_windows(self, tpch_tiny, tmp_path, profile):
-        normal = self._normal(tpch_tiny, "Q6", profile)
-        runner = make_runner(tpch_tiny, RedoStrategy, tmp_path, profile)
-        # Windows shorter than the query: redo never completes.
-        short = AvailabilityTrace.periodic(normal.stats.duration * 0.5, 1.0, 4)
-        outcome = runner.run(build_query("Q6"), "Q6", short)
-        assert not outcome.completed
-        assert outcome.lost_segments == 4
-        # One window long enough: completes within it.
-        long = AvailabilityTrace.periodic(normal.stats.duration * 2, 1.0, 1)
-        outcome = runner.run(build_query("Q6"), "Q6", long)
-        assert outcome.completed
+    def test_busy_time_bounded_by_windows(self, tpch_tiny, tmp_path):
+        trace = AvailabilityTrace.periodic(1.5, 10.0, 12)
+        _, result = run_trace(tpch_tiny, tmp_path, "Q17", trace)
+        worker = result.workers[0]
+        for start, end, _ in worker.run_slices:
+            assert any(w.start <= start and end <= w.end for w in trace.windows)
+        assert worker.busy_seconds <= sum(w.duration for w in trace.windows)
 
-    def test_busy_time_bounded_by_windows(self, tpch_tiny, tmp_path, profile):
-        normal = self._normal(tpch_tiny, "Q3", profile)
-        runner = make_runner(tpch_tiny, ProcessLevelStrategy, tmp_path, profile)
-        trace = AvailabilityTrace.periodic(normal.stats.duration * 0.4, 5.0, 12)
-        outcome = runner.run(build_query("Q3"), "Q3", trace)
-        total_capacity = sum(w.duration for w in trace.windows)
-        assert outcome.busy_seconds <= total_capacity + 1e-6
-
-    def test_busy_time_includes_every_reload(self, tpch_tiny, tmp_path, profile):
+    def test_busy_time_includes_every_reload(self, tpch_tiny, tmp_path):
         """Each window that resumes opens with its reload, inside the window."""
         metrics = MetricsRegistry()
-        normal = self._normal(tpch_tiny, "Q17", profile)
-        runner = IntermittentRunner(
-            tpch_tiny, PipelineLevelStrategy(profile, obs=Obs(metrics=metrics)),
-            profile=profile, snapshot_dir=tmp_path, morsel_size=1024,
+        trace = AvailabilityTrace.periodic(1.5, 10.0, 12)
+        cluster, result = run_trace(
+            tpch_tiny, tmp_path, "Q17", trace, obs=Obs(metrics=metrics)
         )
-        trace = AvailabilityTrace.periodic(normal.stats.duration * 0.6, 10.0, 12)
-        outcome = runner.run(build_query("Q17"), "Q17", trace)
+        done = result.completions[0]
         reloads = metrics.histogram("reload_latency_seconds")
         persists = metrics.histogram("persist_latency_seconds")
-        assert outcome.completed and outcome.lost_segments == 0
-        assert reloads.count == outcome.suspensions >= 1
+        assert done.lost_segments == 0
+        assert reloads.count == done.suspensions >= 1
         assert reloads.total > 0
-        assert outcome.busy_seconds == pytest.approx(
-            normal.stats.duration + persists.total + reloads.total, rel=1e-9
+        assert result.workers[0].busy_seconds == pytest.approx(
+            normal_time(cluster, "Q17") + persists.total + reloads.total, rel=1e-9
         )
-        assert all(s.busy_seconds <= s.window.duration for s in outcome.segments)
 
-    def test_segments_recorded(self, tpch_tiny, tmp_path, profile):
-        normal = self._normal(tpch_tiny, "Q3", profile)
-        runner = make_runner(tpch_tiny, ProcessLevelStrategy, tmp_path, profile)
-        trace = AvailabilityTrace.periodic(normal.stats.duration * 0.4, 5.0, 12)
-        outcome = runner.run(build_query("Q3"), "Q3", trace)
-        assert outcome.completed
-        assert len(outcome.segments) >= 2
-        assert any(s.suspended and not s.lost_progress for s in outcome.segments[:-1])
-        assert outcome.segments[-1].lost_progress is False
+    def test_segments_recorded(self, tpch_tiny, tmp_path):
+        trace = AvailabilityTrace.periodic(1.5, 10.0, 12)
+        _, result = run_trace(tpch_tiny, tmp_path, "Q17", trace)
+        done = result.completions[0]
+        phases = [segment["phase"] for segment in done.segments]
+        assert phases.count("run") >= 2
+        assert "suspended" in phases
+        assert phases[-1] == "run"
+        assert all(s["worker"] == 0 for s in done.segments if s["phase"] == "run")
 
-    def test_finish_wall_time_in_final_window(self, tpch_tiny, tmp_path, profile):
-        normal = self._normal(tpch_tiny, "Q3", profile)
-        runner = make_runner(tpch_tiny, ProcessLevelStrategy, tmp_path, profile)
-        trace = AvailabilityTrace.periodic(normal.stats.duration * 0.4, 5.0, 12)
-        outcome = runner.run(build_query("Q3"), "Q3", trace)
-        assert outcome.completed
-        final = outcome.segments[-1].window
-        assert final.start <= outcome.finish_wall_time <= final.end + 1e-6
+    def test_finish_wall_time_in_final_window(self, tpch_tiny, tmp_path):
+        trace = AvailabilityTrace.periodic(1.5, 10.0, 12)
+        _, result = run_trace(tpch_tiny, tmp_path, "Q17", trace)
+        finished = result.completions[0].finished_at
+        assert any(w.start <= finished <= w.end for w in trace.windows)
+
+    @pytest.mark.parametrize("policy", ["fifo", "suspend-aware"])
+    def test_macro_replays_the_engine_over_a_trace(self, tpch_tiny, tmp_path, policy):
+        trace = AvailabilityTrace.periodic(1.3, 2.0, 8)
+        reports = {
+            fidelity: fleet_report(
+                run_trace(tpch_tiny, tmp_path, "Q9", trace, policy, fidelity)[1]
+            )
+            for fidelity in ("engine", "macro")
+        }
+        assert reports["engine"] == reports["macro"]

@@ -13,12 +13,12 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from repro.__main__ import main
-from repro.cloud.availability import AvailabilityTrace, IntermittentRunner
+from repro.cloud.availability import AvailabilityTrace
 from repro.cloud.environment import PriceTrace
-from repro.cloud.pricing import PriceAwareRunner
 from repro.cloud.runner import QueryRunner
 from repro.dist import Coordinator, ShardSuspension, partition_catalog, split_plan
 from repro.engine.backend import SimulatedBackend
+from repro.engine.chunk import chunk_digest
 from repro.engine.config import ExecutionConfig
 from repro.engine.errors import EngineError
 from repro.engine.executor import QueryExecutor
@@ -31,7 +31,6 @@ from repro.suspend import ProcessLevelStrategy, QuerySession, make_strategy
 from repro.tpch import build_query
 
 from tests.test_scheduler import arrival
-from tests.test_session import chunk_digest
 
 QUERY = "Q3"
 
@@ -195,35 +194,31 @@ class TestEveryDriverForwardsTheObject:
         assert done["long"].suspensions >= 1
         assert_reached(seen, 4)
 
-    def test_intermittent_runner(self, tpch_tiny, bare, seen, tmp_path):
-        profile = HardwareProfile()
-        runner = IntermittentRunner(
-            tpch_tiny, ProcessLevelStrategy(profile), profile=profile,
+    def _run_fleet_over(self, tpch_tiny, trace, tmp_path):
+        cluster = FleetCluster(
+            tpch_tiny, make_policy("suspend-aware"), workers=1,
             snapshot_dir=tmp_path, config=CONFIG,
         )
-        outcome = runner.run(
-            build_query(QUERY), QUERY,
-            AvailabilityTrace.periodic(bare.stats.duration * 0.4, 5.0, 12),
+        assert cluster.strategy.codec == "adaptive"
+        result = cluster.run(
+            [arrival("long", "Q9", 0.0)], trace.windows[-1].end, availability=[trace]
         )
-        assert outcome.suspensions >= 1
-        assert chunk_digest(outcome.result.chunk) == chunk_digest(bare.chunk)
-        assert_reached(seen, 2)
+        assert result.completions[0].suspensions >= 1
+        assert result.result_mismatches == 0
 
-    def test_price_aware_runner(self, tpch_tiny, bare, seen, tmp_path):
+    def test_intermittent_runner(self, tpch_tiny, seen, tmp_path):
+        """Zero-carbon windows: a one-worker fleet over a periodic trace."""
+        self._run_fleet_over(tpch_tiny, AvailabilityTrace.periodic(1.3, 2.0, 8), tmp_path)
+        # measure() plus at least two slices, every one under the object
+        assert_reached(seen, 3)
+
+    def test_price_aware_runner(self, tpch_tiny, seen, tmp_path):
+        """A price budget: a one-worker fleet over the budget's affordable trace."""
         prices = PriceTrace(
             base_price=1.0, spike_multiplier=300.0, spike_probability=0.5,
-            segment_seconds=0.4, seed=21,
+            segment_seconds=1.5, seed=3,
         )
-        runner = PriceAwareRunner(
-            tpch_tiny, prices, budget_per_hour=10.0, snapshot_dir=tmp_path,
-            strategy="process", config=CONFIG,
-        )
-        assert runner.strategy.codec == "adaptive"
-        baseline = runner.run_through_spikes(build_query(QUERY), QUERY)
-        assert baseline.busy_seconds == bare.stats.duration
-        outcome = runner.run_budgeted(build_query(QUERY), QUERY)
-        assert outcome.suspensions >= 1
-        assert chunk_digest(outcome.result.chunk) == chunk_digest(bare.chunk)
+        self._run_fleet_over(tpch_tiny, prices.affordable(10.0, 60.0), tmp_path)
         assert_reached(seen, 3)
 
     def test_fleet_cluster_at_both_fidelities(self, tpch_tiny, bare, seen, tmp_path):

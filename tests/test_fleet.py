@@ -14,8 +14,10 @@ from repro.fleet import (
     fleet_report,
     report_to_json,
 )
+from repro.fleet.cluster import MIN_SLICE_SECONDS, _availability_windows
 from repro.fleet.slo import dollars_for_slices, latency_stats, percentile
-from repro.fleet.workload import TENANT_CLASSES
+from repro.fleet.workload import TENANT_CLASSES, QueryArrival
+from repro.cloud.availability import AvailabilityTrace, AvailabilityWindow
 from repro.cloud.environment import PriceTrace
 from repro.cloud.segments import SEGMENT_PHASES
 from repro.obs.audit import DecisionJournal
@@ -42,6 +44,8 @@ def run_fleet(
     mean_off=30.0,
     journal=None,
     memory_budget=None,
+    fidelity="engine",
+    availability=None,
 ):
     _, arrivals = small_workload(tenants, duration, seed)
     cluster = FleetCluster(
@@ -58,8 +62,9 @@ def run_fleet(
         mean_on_seconds=mean_on,
         mean_off_seconds=mean_off,
         obs=Obs(journal=journal),
+        fidelity=fidelity,
     )
-    return cluster.run(arrivals, duration)
+    return cluster.run(arrivals, duration, availability=availability)
 
 
 class TestWorkload:
@@ -260,6 +265,53 @@ class TestCluster:
     def test_worker_count_validation(self, tpch_tiny):
         with pytest.raises(ValueError):
             FleetCluster(tpch_tiny, make_policy("fifo"), workers=0)
+
+
+class TestAvailabilityInput:
+    """``run(..., availability=)``: one trace per worker, or the seeded ones."""
+
+    @pytest.mark.parametrize("fidelity", ["engine", "macro"])
+    def test_seeded_traces_given_explicitly_change_no_byte(
+        self, tpch_tiny, tmp_path, fidelity
+    ):
+        artifacts = []
+        for label, availability in (
+            ("default", None),
+            (
+                "given",
+                [_availability_windows(7, wid, 600.0, 60.0, 20.0) for wid in range(2)],
+            ),
+        ):
+            journal = DecisionJournal()
+            result = run_fleet(
+                tpch_tiny, tmp_path / label, seed=7, mean_on=60.0, mean_off=20.0,
+                journal=journal, fidelity=fidelity, availability=availability,
+            )
+            assert sum(w.reclamations for w in result.workers) > 0
+            artifacts.append((report_to_json(fleet_report(result)), journal.to_jsonl()))
+        assert artifacts[0] == artifacts[1]
+
+    def test_one_trace_per_worker(self, tpch_tiny, tmp_path):
+        trace = AvailabilityTrace.periodic(10.0, 1.0, 3)
+        with pytest.raises(ValueError, match="one availability trace per worker"):
+            run_fleet(tpch_tiny, tmp_path, workers=2, availability=[trace])
+
+    @pytest.mark.parametrize("fidelity", ["engine", "macro"])
+    def test_windows_narrower_than_a_slice_are_skipped(self, tpch_tiny, tmp_path, fidelity):
+        narrow = MIN_SLICE_SECONDS / 2
+        trace = AvailabilityTrace(
+            [AvailabilityWindow(k * 1.0, k * 1.0 + narrow) for k in range(5)]
+            + [AvailabilityWindow(10.0, 40.0)]
+        )
+        cluster = FleetCluster(
+            tpch_tiny, make_policy("suspend-aware"), workers=1,
+            snapshot_dir=tmp_path, fidelity=fidelity,
+        )
+        arrival = QueryArrival("q", "t", "analytic", "Q6", 0.0, False, 1.0, 1.0)
+        result = cluster.run([arrival], 40.0, availability=[trace])
+        done = result.completions[0]
+        assert done.lost_segments == 0
+        assert result.workers[0].run_slices == [(10.0, done.finished_at, "q")]
 
 
 class TestSlo:

@@ -15,6 +15,8 @@ from repro.fleet import (
     make_tenants,
     report_to_json,
 )
+from repro.cloud.availability import AvailabilityTrace, AvailabilityWindow
+from repro.fleet.cluster import _WorkerState
 from repro.fleet.workload import workload_to_jsonl
 from repro.obs.audit import DecisionJournal
 from repro.obs.handle import Obs
@@ -166,6 +168,52 @@ class TestWorkerIndex:
                     h_start, h_end, h_worker.wid,
                 )
             else:  # a slice finished: free_at only ever advances
+                for fleet, index in (
+                    (scan_fleet, scan_index), (heap_fleet, heap_index),
+                ):
+                    worker = fleet[wid]
+                    worker.free_at = max(worker.free_at, value)
+                    index.reschedule(worker)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.25, 0.5, 0.99, 1.0, 3.0, 20.0]), max_size=8),
+            min_size=6,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["best", "advance"]),
+                st.integers(0, 5),
+                st.floats(0.0, 120.0, allow_nan=False, width=32),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_indexed_matches_scan_over_given_traces(self, widths, ops):
+        """A given trace may hold windows narrower than a slice; the
+        indexed regime's argument does not depend on window width."""
+
+        def trace(window_widths):
+            windows, start = [], 0.0
+            for width in window_widths:
+                windows.append(AvailabilityWindow(start, start + width))
+                start += width + 2.0
+            return AvailabilityTrace(windows)
+
+        scan_fleet = [_WorkerState(w, trace(widths[w])) for w in range(6)]
+        heap_fleet = [_WorkerState(w, trace(widths[w])) for w in range(6)]
+        scan_index = ScanWorkerIndex(scan_fleet)
+        heap_index = IndexedWorkerIndex(heap_fleet)
+        for op, wid, value in ops:
+            if op == "best":
+                s_start, s_end, s_worker = scan_index.best_slot(value)
+                h_start, h_end, h_worker = heap_index.best_slot(value)
+                assert (s_start, s_end, s_worker.wid) == (
+                    h_start, h_end, h_worker.wid,
+                )
+            else:
                 for fleet, index in (
                     (scan_fleet, scan_index), (heap_fleet, heap_index),
                 ):

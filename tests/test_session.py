@@ -8,32 +8,36 @@ but not committed.
 """
 
 import argparse
-import hashlib
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import _execute, _execution_config
-from repro.cloud.availability import AvailabilityTrace, IntermittentRunner
+from repro.cloud.availability import AvailabilityTrace
 from repro.cloud.environment import PriceTrace
-from repro.cloud.pricing import PriceAwareRunner
 from repro.cloud.runner import QueryRunner
 from repro.costmodel.selector import AdaptiveStrategySelector
 from repro.costmodel.termination import TerminationProfile
+from repro.engine.chunk import chunk_digest
 from repro.engine.controller import Action, ExecutionController
 from repro.engine.executor import QueryExecutor
 from repro.engine.profile import HardwareProfile
-from repro.fleet import FleetCluster, fleet_report, make_policy, make_tenants, generate_workload
+from repro.fleet import (
+    FleetCluster,
+    QueryArrival,
+    fleet_report,
+    generate_workload,
+    make_policy,
+    make_tenants,
+)
 from repro.obs.handle import Obs
 from repro.optimizer import OptimizerFlags
 from repro.suspend import (
     CompositeController,
     PipelineLevelStrategy,
-    ProcessLevelStrategy,
     QuerySession,
     SnapshotStore,
     make_strategy,
@@ -61,15 +65,6 @@ class _Probe(ExecutionController):
             self.start = (context.pipeline_pos, -1)
         self.finished.append(context.pipeline_id)
         return Action.CONTINUE
-
-
-def chunk_digest(chunk) -> str:
-    """Byte-for-byte identity of a result chunk (names, dtypes, data)."""
-    digest = hashlib.sha1()
-    for name, array in zip(chunk.schema.names, chunk.arrays()):
-        digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
 
 
 def _committed_files(directory: Path) -> dict[str, bytes]:
@@ -175,29 +170,6 @@ def _runner_adaptive(catalog, plan, normal, directory):
     return outcome.result, int(outcome.suspended)
 
 
-def _intermittent(catalog, plan, normal, directory):
-    profile = HardwareProfile()
-    runner = IntermittentRunner(
-        catalog, ProcessLevelStrategy(profile), profile=profile,
-        snapshot_dir=directory, morsel_size=MORSEL,
-    )
-    outcome = runner.run(plan, "Q9", AvailabilityTrace.periodic(normal * 0.4, 5.0, 12))
-    return outcome.result, outcome.suspensions
-
-
-def _price_aware(catalog, plan, normal, directory):
-    prices = PriceTrace(
-        base_price=1.0, spike_multiplier=300.0, spike_probability=0.5,
-        segment_seconds=0.4, seed=21,
-    )
-    runner = PriceAwareRunner(
-        catalog, prices, budget_per_hour=10.0, profile=HardwareProfile(),
-        snapshot_dir=directory, morsel_size=MORSEL, strategy="process",
-    )
-    outcome = runner.run_budgeted(plan, "Q9")
-    return outcome.result, outcome.suspensions
-
-
 def _cli(catalog, plan, normal, directory):
     args = argparse.Namespace(
         suspend_at=0.4, strategy="pipeline", codec="raw", incremental=False,
@@ -213,7 +185,7 @@ def _cli(catalog, plan, normal, directory):
 class TestEveryDriver:
     @pytest.mark.parametrize(
         "drive",
-        [_runner_forced, _runner_adaptive, _intermittent, _price_aware, _cli],
+        [_runner_forced, _runner_adaptive, _cli],
     )
     def test_returns_the_uninterrupted_result(self, tpch_tiny, uninterrupted, tmp_path, drive):
         normal = uninterrupted["Q9"]
@@ -222,6 +194,31 @@ class TestEveryDriver:
         )
         assert suspensions >= 1
         assert chunk_digest(result.chunk) == chunk_digest(normal.chunk)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            AvailabilityTrace.periodic(1.3, 2.0, 8),
+            PriceTrace(
+                base_price=1.0, spike_multiplier=300.0, spike_probability=0.5,
+                segment_seconds=1.5, seed=3,
+            ).affordable(10.0, 60.0),
+        ],
+        ids=["periodic", "affordable"],
+    )
+    def test_fleet_over_a_trace_checks_the_uninterrupted_result(
+        self, tpch_tiny, tmp_path, trace
+    ):
+        """The fleet digests every completion's final slice and counts any
+        that differs from the uninterrupted run's result."""
+        cluster = FleetCluster(
+            tpch_tiny, make_policy("suspend-aware"), workers=1,
+            snapshot_dir=tmp_path / "snapshots", morsel_size=MORSEL,
+        )
+        arrival = QueryArrival("Q9", "t", "analytic", "Q9", 0.0, False, 1.0, 1.0)
+        result = cluster.run([arrival], trace.windows[-1].end, availability=[trace])
+        assert result.completions[0].suspensions >= 1
+        assert result.result_mismatches == 0
 
 
 class TestMigration:

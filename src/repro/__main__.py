@@ -870,6 +870,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         sys.stdout.write(report_to_json(report))
     else:
         print(format_fleet_report(report))
+    if result.result_mismatches:
+        # Engine fidelity checks every completion against the query's
+        # uninterrupted result; macro fidelity never counts a mismatch.
+        print(
+            f"{result.result_mismatches} completion(s) differ from the "
+            "uninterrupted result",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -19,12 +19,18 @@ set of carefully matched invariants:
 * scatter reductions accumulate in input-row order (``np.bincount`` with
   weights adds sequentially in C; the scalar loop does the same IEEE
   double additions in the same order);
-* all-integer group keys skip the packing but not the order: the
-  ``memcmp`` order of a little-endian int64 is the numeric order of the
-  byte-swapped ``uint64`` (the most significant byte compares first), and
-  a bool packs as one byte, so a ``np.unique`` over one byte-swapped
-  column, or a stable ``np.lexsort`` over several, numbers the groups and
-  picks the first rows exactly as the void path does;
+* the numpy set reaches that order without packing where it can
+  (:func:`repro.engine.keys.group_rows` has the three paths).  The
+  ``memcmp`` order of a little-endian word is the numeric order of the
+  byte-swapped word (the most significant byte compares first), a bool
+  packs as one byte, and a ``<Uk`` string packs as ``k`` little-endian
+  UCS-4 code units compared first to last.  So keys of at least 2048 rows
+  whose int, bool and code-unit words span a small range group by dense
+  ranks over those words (no sort at all); other all-integer keys run a
+  ``np.unique`` over one byte-swapped column or a stable ``np.lexsort``
+  over several; only float, object and wide string keys sort packed void
+  keys.  Each numbers the groups and picks the first rows exactly as the
+  void path does;
 * the build order is a stable sort of the key codes (``np.argsort(kind=
   "stable")`` vs Python's stable ``sorted``), probe ranges equal binary
   search (``bisect`` in the scalar set; in the numpy set a dense index

@@ -10,6 +10,9 @@ kernel set.
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from repro.engine.kernels import (
     resolve_kernels,
     set_kernels,
 )
+from repro.engine import keys
 from repro.engine.keys import group_rows, pack_rows
 from repro.engine.types import DataType, Schema
 
@@ -273,6 +277,178 @@ class TestIntegerGrouping:
         assert count == s_count
         assert_bit_identical(ids, s_ids)
         assert_bit_identical(first, s_first)
+
+
+
+DENSE_MIN_ROWS = keys._DENSE_GROUP_MIN_ROWS
+DENSE_MAX_WORDS = keys._DENSE_GROUP_MAX_WORDS
+DENSE_SPAN_BOUND = keys._DENSE_GROUP_SPAN_MAX
+
+# "" pads with zero code units; "é" and "中" are non-ASCII, so their code
+# units order differently as words and as little-endian bytes; the astral
+# code points lie above 0xFFFF, past the span bound of any word that also
+# holds an ASCII unit.
+STRING_POOL = ["", "a", "b", "ab", "ba", "é", "aé", "éa", "中", "a中", "\U0001F600", "a\U0001F600"]
+
+
+@st.composite
+def mixed_key_columns(draw, rows=None):
+    """1-3 columns of ``<Uk`` strings, ints (incl. negatives) and bools."""
+    if rows is None:
+        rows = draw(st.integers(0, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["str", "int", "bool"]))
+        if kind == "str":
+            pool = draw(st.lists(st.sampled_from(STRING_POOL), min_size=1, max_size=5))
+            values = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+            width = max([len(value) for value in values] + [1])
+            columns.append(np.array(values, dtype=f"<U{width}"))
+        elif kind == "int":
+            low = draw(st.integers(-300, 300))
+            high = low + draw(st.integers(0, 300))
+            values = draw(st.lists(st.integers(low, high), min_size=rows, max_size=rows))
+            dtype = draw(st.sampled_from([np.int64, np.int32]))
+            columns.append(np.array(values, dtype=dtype))
+        else:
+            values = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            columns.append(np.array(values, dtype=bool))
+    return columns
+
+
+def word_spans(columns: list[np.ndarray]) -> list[int]:
+    """Spans of the packed key's non-constant words, read off Python values."""
+    spans = []
+    for column in columns:
+        if column.dtype.kind == "U":
+            values = column.tolist()
+            for unit in range(column.dtype.itemsize // 4):
+                points = [ord(value[unit]) if unit < len(value) else 0 for value in values]
+                spans.append(max(points) - min(points) + 1)
+        else:
+            values = [int(value) for value in column.tolist()]
+            spans.append(max(values) - min(values) + 1)
+    return [span for span in spans if span > 1]
+
+
+def assert_groups_like_the_oracles(grouped, columns) -> None:
+    """``grouped`` equals the void-key ``np.unique`` and the scalar kernel."""
+    ids, first, count = grouped
+    _, void_first, void_ids = np.unique(
+        pack_rows(columns), return_index=True, return_inverse=True
+    )
+    assert count == len(void_first)
+    assert_bit_identical(ids, void_ids.astype(np.int64))
+    assert_bit_identical(first, void_first.astype(np.int64))
+    s_ids, s_first, s_count = SCALAR.group_rows(columns)
+    assert count == s_count
+    assert_bit_identical(ids, s_ids)
+    assert_bit_identical(first, s_first)
+
+
+def dense(columns: list[np.ndarray]):
+    return keys._group_dense(keys._normalize_keys(columns))
+
+
+class TestDenseGrouping:
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_key_columns())
+    def test_dense_helper_groups_like_the_void_path(self, columns):
+        grouped = dense(columns)
+        if len(columns[0]):
+            spans = word_spans(columns)
+            accepted = len(spans) <= DENSE_MAX_WORDS and math.prod(spans) <= DENSE_SPAN_BOUND
+            assert (grouped is not None) == accepted
+        if grouped is not None:
+            assert_groups_like_the_oracles(grouped, columns)
+        assert_groups_like_the_oracles(group_rows(columns), columns)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.sampled_from([DENSE_MIN_ROWS - 1, DENSE_MIN_ROWS]))
+    def test_row_threshold(self, data, rows):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        distinct = data.draw(mixed_key_columns(rows=data.draw(st.integers(1, 12))))
+        picks = np.random.default_rng(seed).integers(0, len(distinct[0]), rows)
+        columns = [column[picks] for column in distinct]
+        with mock.patch.object(keys, "_group_dense", wraps=keys._group_dense) as spy:
+            grouped = group_rows(columns)
+        assert spy.called == (rows >= DENSE_MIN_ROWS)
+        assert_groups_like_the_oracles(grouped, columns)
+
+    @pytest.mark.parametrize(
+        "spans, taken",
+        [
+            ((DENSE_SPAN_BOUND - 1,), True),
+            ((DENSE_SPAN_BOUND,), True),
+            ((DENSE_SPAN_BOUND + 1,), False),
+            ((256, 256), True),
+            ((256, 257), False),
+        ],
+    )
+    def test_span_bound(self, spans, taken):
+        rng = np.random.default_rng(len(spans))
+        columns = []
+        for span in spans:
+            values = rng.integers(-5, span - 5, 3000)
+            values[:2] = [-5, span - 6]
+            columns.append(values)
+        grouped = dense(columns)
+        assert (grouped is not None) == taken
+        assert_groups_like_the_oracles(group_rows(columns), columns)
+        if taken:
+            assert_groups_like_the_oracles(grouped, columns)
+
+    @pytest.mark.parametrize("above", [DENSE_SPAN_BOUND - 1, DENSE_SPAN_BOUND])
+    def test_code_unit_span_bound(self, above):
+        # "a" + 2**16 - 1 is an astral code point, still within the bound;
+        # one further and the word's span passes it, and the key falls back.
+        top = chr(ord("a") + above)
+        values = np.array(["a", top, "b", top, "a"], dtype="<U1")
+        assert (dense([values]) is not None) == (above < DENSE_SPAN_BOUND)
+        assert_groups_like_the_oracles(group_rows([values]), [values])
+
+    def test_astral_code_points_fall_back(self):
+        columns = [np.array(["a", "\U0001F600", "a", ""] * 700)]
+        assert len(columns[0]) >= DENSE_MIN_ROWS
+        assert dense(columns) is None
+        assert_groups_like_the_oracles(group_rows(columns), columns)
+
+    @pytest.mark.parametrize("words", [DENSE_MAX_WORDS - 1, DENSE_MAX_WORDS, DENSE_MAX_WORDS + 1])
+    @pytest.mark.parametrize("kind", ["bool", "str"])
+    def test_word_cap(self, words, kind):
+        rng = np.random.default_rng(words)
+        bits = rng.integers(0, 2, (300, words)).astype(bool)
+        if kind == "bool":
+            columns = [bits[:, word] for word in range(words)]
+        else:
+            letters = np.where(bits, "b", "a")
+            columns = [np.array(["".join(row) for row in letters], dtype=f"<U{words}")]
+        grouped = dense(columns)
+        assert (grouped is not None) == (words <= DENSE_MAX_WORDS)
+        if grouped is not None:
+            assert_groups_like_the_oracles(grouped, columns)
+
+    def test_constant_words_drop_out(self):
+        columns = [np.array(["Brand#12", "Brand#21", "Brand#12"]), np.zeros(3, dtype=np.int64)]
+        assert_groups_like_the_oracles(dense(columns), columns)
+        single = [np.array(["x", "x"])]
+        assert_groups_like_the_oracles(dense(single), single)
+
+    def test_empty_key(self):
+        columns = [np.array([], dtype="<U3"), np.array([], dtype=np.int64)]
+        grouped = dense(columns)
+        assert grouped[2] == 0
+        assert_groups_like_the_oracles(grouped, columns)
+        assert_groups_like_the_oracles(group_rows(columns), columns)
+
+    def test_float_and_object_keys_keep_the_void_path(self):
+        columns = [np.tile([0.5, 1.5], DENSE_MIN_ROWS)]
+        objects = [np.array(["a", "b"] * DENSE_MIN_ROWS, dtype=object)]
+        for keyset in (columns, objects):
+            with mock.patch.object(keys, "_group_dense", wraps=keys._group_dense) as spy:
+                grouped = group_rows(keyset)
+            assert not spy.called
+            assert_groups_like_the_oracles(grouped, keyset)
 
 
 EXPR_SCHEMA = Schema.of(

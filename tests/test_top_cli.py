@@ -184,3 +184,24 @@ class TestFleetCommand:
         lines = [l for l in journal.read_text().splitlines() if l]
         assert any('"kind":"admission"' in l or '"kind": "admission"' in l for l in lines)
         assert validate_chrome_trace_file(trace)["events"] > 0
+
+    def test_fleet_result_mismatch_fails(self, capsys, monkeypatch):
+        from repro.fleet import FleetCluster
+
+        measure = FleetCluster.measure
+
+        def measure_with_one_wrong_digest(cluster, query):
+            cached = measure(cluster, query)
+            if len(cluster._digests) == 1 and query in cluster._digests:
+                cluster._digests[query] = "0" * 64
+            return cached
+
+        monkeypatch.setattr(FleetCluster, "measure", measure_with_one_wrong_digest)
+        code = main([
+            "fleet", "--tenants", "3", "--workers", "2",
+            "--duration", "300", "--seed", "11", "--json",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert '"format":"riveter-fleet/1"' in captured.out
+        assert "completion(s) differ from the uninterrupted result" in captured.err

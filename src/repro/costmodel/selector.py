@@ -83,9 +83,10 @@ class AdaptiveStrategySelector:
         # the dominant cost-model step for queries with large states
         # (Table V, Q17) — under the codec that would persist them, so
         # S^ppl shrinks with the encoded bytes (no-op for "raw").
-        live = context.executor.live_states()
-        with codec_mod.encoding(self.codec):
-            state_bytes = sum(len(state.serialize()) for state in live.values())
+        blobs, _ = codec_mod.serialize_all(
+            list(context.executor.live_states().values()), self.codec
+        )
+        state_bytes = sum(len(blob) for blob in blobs)
         if not context.at_breaker and context.morsel_count:
             # A pipeline-level suspension planned from here fires at the
             # next breaker, where the in-flight pipeline's state has become

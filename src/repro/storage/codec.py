@@ -38,6 +38,17 @@ states, chunk lists) pick the codec up without signature changes::
     with codec.encoding("adaptive", stats):
         blob = state.serialize()
 
+The context is per-thread: a context entered in one thread is invisible in
+every other.  That is what lets :func:`serialize_all` serialize the states
+of one persist concurrently, each on its own walker thread under its own
+context and stats, while :func:`encode_frames` compresses the arrays of one
+``write_named_arrays`` call on the thread pool that ``serialize_all`` opens
+for that persist and puts in the walkers' contexts (a context without a
+pool, such as a bare ``encoding()``, encodes on the calling thread).  Each
+frame is a pure function of one array (:func:`encode_frame`), and frames
+and stats are taken in serializer order, so the bytes are those of a
+sequential persist.
+
 Virtual encode/decode costs are modelled per codec as raw-byte
 throughputs on the simulated timeline (scaled like disk bandwidth by
 ``HardwareProfile.io_time_scale``) so the cost model can charge codec CPU
@@ -46,10 +57,13 @@ time alongside I/O time.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,7 +75,10 @@ __all__ = [
     "encoding",
     "recording",
     "active_stats",
+    "encode_frame",
     "maybe_encode_frame",
+    "encode_frames",
+    "serialize_all",
     "read_frame",
     "encode_array",
     "decode_array",
@@ -164,6 +181,19 @@ class CodecStats:
         bucket["decoded_raw_bytes"] += raw
         bucket["decoded_encoded_bytes"] += encoded
 
+    def merge(self, other: "CodecStats") -> None:
+        """Add *other*'s counts, as if they had been recorded here."""
+        self.arrays += other.arrays
+        self.raw_bytes += other.raw_bytes
+        self.encoded_bytes += other.encoded_bytes
+        self.decoded_arrays += other.decoded_arrays
+        self.decoded_raw_bytes += other.decoded_raw_bytes
+        self.decoded_encoded_bytes += other.decoded_encoded_bytes
+        for codec_name, bucket in other.per_codec.items():
+            mine = self._bucket(codec_name)
+            for key, value in bucket.items():
+                mine[key] += value
+
     @property
     def saved_bytes(self) -> int:
         return self.raw_bytes - self.encoded_bytes
@@ -184,26 +214,50 @@ class CodecStats:
 
 # -- context ---------------------------------------------------------------------
 
-_CONTEXT: list[tuple[str | None, CodecStats | None]] = []
+#: Each thread has its own stack of active contexts: a context entered in
+#: one thread is invisible in every other, so concurrent serializers (the
+#: walkers of :func:`serialize_all`) each encode under their own codec and
+#: record into their own :class:`CodecStats`.  An entry is
+#: ``(codec, stats, pool)``; only :func:`serialize_all` sets a pool.
+_LOCAL = threading.local()
+_NO_CONTEXT = (None, None, None)
+
+
+def _context_stack() -> list[tuple[str | None, CodecStats | None, ThreadPoolExecutor | None]]:
+    try:
+        return _LOCAL.stack
+    except AttributeError:
+        stack = _LOCAL.stack = []
+        return stack
+
+
+def _active_entry() -> tuple[str | None, CodecStats | None, ThreadPoolExecutor | None]:
+    stack = _context_stack()
+    return stack[-1] if stack else _NO_CONTEXT
 
 
 class _CodecContext:
-    def __init__(self, codec_name: str | None, stats: CodecStats | None):
+    def __init__(
+        self,
+        codec_name: str | None,
+        stats: CodecStats | None,
+        pool: ThreadPoolExecutor | None = None,
+    ):
         if codec_name is not None and codec_name not in CODEC_NAMES:
             raise CodecError(f"unknown codec {codec_name!r}; expected one of {CODEC_NAMES}")
-        self._entry = (codec_name, stats)
+        self._entry = (codec_name, stats, pool)
 
     def __enter__(self) -> "_CodecContext":
-        _CONTEXT.append(self._entry)
+        _context_stack().append(self._entry)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _CONTEXT.pop()
+        _context_stack().pop()
 
 
 def encoding(codec_name: str, stats: CodecStats | None = None) -> _CodecContext:
     """Encode arrays written by :func:`repro.storage.serialize.write_array`
-    with *codec_name* while the context is active."""
+    with *codec_name* while the context is active (in this thread)."""
     return _CodecContext(codec_name, stats)
 
 
@@ -213,11 +267,11 @@ def recording(stats: CodecStats) -> _CodecContext:
 
 
 def active_codec() -> str | None:
-    return _CONTEXT[-1][0] if _CONTEXT else None
+    return _active_entry()[0]
 
 
 def active_stats() -> CodecStats | None:
-    return _CONTEXT[-1][1] if _CONTEXT else None
+    return _active_entry()[1]
 
 
 # -- individual codecs ------------------------------------------------------------
@@ -228,7 +282,7 @@ def _payload_view(contiguous: np.ndarray) -> memoryview:
 
 
 def _encode_zlib(contiguous: np.ndarray) -> bytes:
-    return zlib.compress(bytes(_payload_view(contiguous)), 6)
+    return zlib.compress(_payload_view(contiguous), 6)
 
 
 def _decode_zlib(payload: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
@@ -382,38 +436,120 @@ def _pick_adaptive(contiguous: np.ndarray) -> str | None:
     return best_name
 
 
-def maybe_encode_frame(contiguous: np.ndarray) -> bytes | None:
-    """Encode *contiguous* per the active codec context.
+def _wants_encoding(contiguous: np.ndarray, codec_name: str | None) -> bool:
+    return (
+        codec_name is not None
+        and codec_name != "raw"
+        and contiguous.nbytes >= _MIN_ENCODE_BYTES
+    )
 
-    Returns the full codec frame, or ``None`` when the caller should write
-    the legacy raw record (no context, raw codec, inapplicable codec, or
-    compression that does not beat the raw encoding).  Byte accounting goes
-    to the context's :class:`CodecStats` either way.
+
+def encode_frame(
+    contiguous: np.ndarray, codec_name: str | None
+) -> tuple[str, int, bytes | None]:
+    """Encode *contiguous* with *codec_name*: ``(chosen, encoded_len, frame)``.
+
+    A pure function of its arguments — it reads no context and records no
+    stats — so any thread may run it.  ``frame`` is ``None`` (and
+    ``chosen`` is ``"raw"``, ``encoded_len`` the raw size) when the caller
+    should write the legacy raw record: no codec, raw codec, an array too
+    small to pay for a frame header, an inapplicable codec, or compression
+    that does not beat the raw encoding.
     """
-    codec_name = active_codec()
-    stats = active_stats()
     raw_nbytes = int(contiguous.nbytes)
-    if codec_name is None or codec_name == "raw" or raw_nbytes < _MIN_ENCODE_BYTES:
-        if stats is not None:
-            stats.record_encode("raw", raw_nbytes, raw_nbytes)
-        return None
+    if not _wants_encoding(contiguous, codec_name):
+        return "raw", raw_nbytes, None
     chosen: str | None
     if codec_name == "adaptive":
         chosen = _pick_adaptive(contiguous)
     else:
         chosen = codec_name if codec_name in _applicable_codecs(contiguous) else None
-    frame: bytes | None = None
     if chosen is not None:
         payload = _ENCODERS[chosen](contiguous)
         # Hard guarantee: an encoded record is never larger than the raw one.
         if len(payload) + _frame_overhead(chosen, contiguous) < _legacy_record_size(contiguous):
-            frame = _build_frame(chosen, contiguous, payload)
+            return chosen, len(payload), _build_frame(chosen, contiguous, payload)
+    return "raw", raw_nbytes, None
+
+
+def _record(contiguous: np.ndarray, encoded: tuple[str, int, bytes | None]) -> bytes | None:
+    chosen, encoded_len, frame = encoded
+    stats = active_stats()
     if stats is not None:
-        if frame is None:
-            stats.record_encode("raw", raw_nbytes, raw_nbytes)
-        else:
-            stats.record_encode(chosen, raw_nbytes, len(payload))
+        stats.record_encode(chosen, int(contiguous.nbytes), encoded_len)
     return frame
+
+
+def maybe_encode_frame(contiguous: np.ndarray) -> bytes | None:
+    """Encode *contiguous* per this thread's active codec context.
+
+    Returns the full codec frame, or ``None`` when the caller should write
+    the legacy raw record (see :func:`encode_frame`).  Byte accounting goes
+    to the context's :class:`CodecStats` either way.
+    """
+    return _record(contiguous, encode_frame(contiguous, active_codec()))
+
+
+# -- concurrent encoding -----------------------------------------------------------
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def encode_frames(arrays: Sequence[np.ndarray]) -> Iterator[bytes | None]:
+    """:func:`maybe_encode_frame` of every array, in order.
+
+    When this thread's context carries a pool (set by :func:`serialize_all`)
+    and at least two arrays need encoding, their frames are computed
+    concurrently on that pool; the frames are yielded, and their stats
+    recorded on the calling thread, in the order of *arrays* all the same,
+    so the bytes cannot move.
+    """
+    codec_name, _, pool = _active_entry()
+    wanted = [_wants_encoding(array, codec_name) for array in arrays]
+    if pool is None or sum(wanted) < 2:
+        for array in arrays:
+            yield maybe_encode_frame(array)
+        return
+    pending = [
+        pool.submit(encode_frame, array, codec_name) if want else None
+        for array, want in zip(arrays, wanted)
+    ]
+    for array, future in zip(arrays, pending):
+        yield maybe_encode_frame(array) if future is None else _record(array, future.result())
+
+
+def serialize_all(states: Sequence, codec_name: str) -> tuple[list[bytes], CodecStats]:
+    """``state.serialize()`` of every state under *codec_name*, in order.
+
+    Returns the blobs and one :class:`CodecStats` covering all of them.
+    With a codec to run and more than one CPU in the affinity mask, each
+    state is serialized on its own walker thread with its own stats, which
+    are merged in state order — equal to recording everything, in order,
+    into one object — and the walkers' contexts share one pool of
+    ``len(os.sched_getaffinity(0))`` threads for :func:`encode_frames`.
+    Walkers and pool live for this call only: no codec thread outlives
+    it, so a later ``fork()`` forks a process without them.  The raw codec
+    and one CPU stay sequential, on the calling thread.
+    """
+    if codec_name == "raw" or not states or _cpu_count() < 2:
+        stats = CodecStats()
+        with encoding(codec_name, stats):
+            return [state.serialize() for state in states], stats
+
+    def walk(state) -> tuple[bytes, CodecStats]:
+        own = CodecStats()
+        with _CodecContext(codec_name, own, pool):
+            return state.serialize(), own
+
+    with ThreadPoolExecutor(_cpu_count(), thread_name_prefix="codec") as pool:
+        with ThreadPoolExecutor(len(states), thread_name_prefix="codec-walker") as walkers:
+            walked = list(walkers.map(walk, states))
+    stats = CodecStats()
+    for _, own in walked:
+        stats.merge(own)
+    return [blob for blob, _ in walked], stats
 
 
 def read_frame(stream: BinaryIO, read_exact: Callable[[BinaryIO, int], bytes]) -> np.ndarray:

@@ -53,16 +53,14 @@ class SerializationError(ValueError):
     """Raised when a payload cannot be serialized or parsed."""
 
 
-def write_array(stream: BinaryIO, array: np.ndarray) -> int:
-    """Write *array* to *stream*; returns the number of bytes written.
-
-    Emits a codec frame instead of the legacy record when an encoding
-    context is active and the codec beats the raw representation.
-    """
+def _contiguous(array: np.ndarray) -> np.ndarray:
     if array.dtype.kind == "O":
         raise SerializationError("object arrays are not serializable; use unicode dtype")
-    contiguous = np.ascontiguousarray(array)
-    frame = codec.maybe_encode_frame(contiguous)
+    return np.ascontiguousarray(array)
+
+
+def _write_record(stream: BinaryIO, contiguous: np.ndarray, frame: bytes | None) -> int:
+    """Write *frame*, or the legacy record of *contiguous* when it is ``None``."""
     if frame is not None:
         stream.write(frame)
         return len(frame)
@@ -81,6 +79,16 @@ def write_array(stream: BinaryIO, array: np.ndarray) -> int:
     stream.write(memoryview(contiguous) if contiguous.ndim == 0 else memoryview(contiguous).cast("B"))
     written += _U64.size + contiguous.nbytes
     return written
+
+
+def write_array(stream: BinaryIO, array: np.ndarray) -> int:
+    """Write *array* to *stream*; returns the number of bytes written.
+
+    Emits a codec frame instead of the legacy record when an encoding
+    context is active and the codec beats the raw representation.
+    """
+    contiguous = _contiguous(array)
+    return _write_record(stream, contiguous, codec.maybe_encode_frame(contiguous))
 
 
 def read_array(stream: BinaryIO) -> np.ndarray:
@@ -112,16 +120,21 @@ def deserialize_array(blob: bytes) -> np.ndarray:
 
 
 def write_named_arrays(stream: BinaryIO, arrays: dict[str, np.ndarray]) -> int:
-    """Write a name→array mapping; returns total bytes written."""
-    written = 0
+    """Write a name→array mapping; returns total bytes written.
+
+    Under an encoding context the arrays' frames may be computed
+    concurrently (:func:`repro.storage.codec.encode_frames`); names, frames
+    and legacy records are still written in the mapping's order.
+    """
+    contiguous = [_contiguous(array) for array in arrays.values()]
     stream.write(_U32.pack(len(arrays)))
-    written += _U32.size
-    for name, array in arrays.items():
+    written = _U32.size
+    for name, array, frame in zip(arrays, contiguous, codec.encode_frames(contiguous)):
         encoded = name.encode("utf-8")
         stream.write(_U32.pack(len(encoded)))
         stream.write(encoded)
         written += _U32.size + len(encoded)
-        written += write_array(stream, array)
+        written += _write_record(stream, array, frame)
     return written
 
 

@@ -288,15 +288,12 @@ class Snapshot:
     ) -> "Snapshot":
         """Serialize *capture*; its ``kind`` becomes the snapshot's."""
         process = capture.kind == "process"
-        stats = codec_mod.CodecStats()
-
-        def encode(state) -> bytes:
-            with codec_mod.encoding(codec_name, stats):
-                return state.serialize()
-
         states = capture.completed_states if process else capture.live_states()
-        blobs = {pid: encode(state) for pid, state in states.items()}
-        locals_blobs = [encode(state) for state in capture.local_states or []]
+        encoded, stats = codec_mod.serialize_all(
+            [*states.values(), *(capture.local_states or [])], codec_name
+        )
+        blobs = dict(zip(states, encoded))
+        locals_blobs = encoded[len(states):]
         if process:
             # The process image is memory-accounting based, not a byte
             # stream we compress directly; model the encoded size by

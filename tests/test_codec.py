@@ -7,6 +7,10 @@ report exact on-disk sizes.
 """
 
 import io
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +158,222 @@ class TestCodecStats:
         with codec.encoding("raw", stats):
             serialize.serialize_array(np.arange(1000, dtype=np.int64))
         assert codec.encode_cost_seconds(stats.to_json()) == 0.0
+
+
+class TestCodecContextPerThread:
+    def test_context_is_invisible_in_another_thread(self):
+        seen = {}
+
+        def look():
+            seen["codec"], seen["stats"] = codec.active_codec(), codec.active_stats()
+
+        with codec.encoding("zlib", codec.CodecStats()):
+            thread = threading.Thread(target=look)
+            thread.start()
+            thread.join()
+            assert codec.active_codec() == "zlib"
+        assert seen == {"codec": None, "stats": None}
+
+    def test_another_threads_context_is_invisible_here(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with codec.encoding("rle", codec.CodecStats()):
+                entered.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert codec.active_codec() is None
+            assert codec.active_stats() is None
+        finally:
+            release.set()
+            thread.join()
+
+    def test_nesting_still_restores(self):
+        outer, inner = codec.CodecStats(), codec.CodecStats()
+        with codec.encoding("zlib", outer):
+            with codec.recording(inner):
+                assert codec.active_codec() is None
+                assert codec.active_stats() is inner
+                with codec.encoding("dict"):
+                    assert codec.active_codec() == "dict"
+                    assert codec.active_stats() is None
+                assert codec.active_stats() is inner
+            assert codec.active_codec() == "zlib"
+            assert codec.active_stats() is outer
+        assert codec.active_codec() is None
+
+
+#: Arrays that take every branch of the size gate and of the encoder: frames
+#: and raw fallbacks, too-small arrays, 1-D and 2-D.  The first stays raw
+#: and the last is framed, so recording out of order changes ``per_codec``.
+MIXED_ARRAYS = [
+    np.random.default_rng(7).integers(0, 2**62, 3000),
+    np.repeat(np.arange(40, dtype=np.int64), 250),
+    np.array(["alpha", "beta", "gamma"], dtype="U8")[
+        np.random.default_rng(2).integers(0, 3, 3000)
+    ],
+    np.repeat(np.random.default_rng(1).random(64), 100),
+    np.arange(10, dtype=np.int64),
+    np.arange(600, dtype=np.int32).reshape(20, 30),
+]
+
+
+class TestCodecStatsMerge:
+    def test_merge_equals_recording_into_one_object(self):
+        blobs = [codec.encode_array(array, "zlib") for array in MIXED_ARRAYS[:3]]
+        one = codec.CodecStats()
+        with codec.encoding("adaptive", one):
+            for array in MIXED_ARRAYS:
+                serialize.serialize_array(array)
+            for blob in blobs:
+                serialize.deserialize_array(blob)
+        merged = codec.CodecStats()
+        for part in (MIXED_ARRAYS[:2], MIXED_ARRAYS[2:5], MIXED_ARRAYS[5:]):
+            own = codec.CodecStats()
+            with codec.encoding("adaptive", own):
+                for array in part:
+                    serialize.serialize_array(array)
+            merged.merge(own)
+        own = codec.CodecStats()
+        with codec.recording(own):
+            for blob in blobs:
+                serialize.deserialize_array(blob)
+        merged.merge(own)
+        assert merged == one
+        assert list(merged.per_codec) == list(one.per_codec)
+        assert merged.to_json() == one.to_json()
+
+
+class _ArrayState:
+    """A stand-in sink state: two-array calls plus a one-array call."""
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+        self.threads: list[str] = []
+
+    def serialize(self) -> bytes:
+        self.threads.append(threading.current_thread().name)
+        buffer = io.BytesIO()
+        serialize.write_named_arrays(
+            buffer, {f"a{index}": array for index, array in enumerate(self.arrays)}
+        )
+        serialize.write_array(buffer, self.arrays[0])
+        return buffer.getvalue()
+
+
+def _cpus(monkeypatch, count):
+    """Pretend the affinity mask holds *count* CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _sequential(states, codec_name):
+    """The reference: one thread serializes every state in order under one
+    codec context (a bare ``encoding()`` has no pool)."""
+    stats = codec.CodecStats()
+    with codec.encoding(codec_name, stats):
+        return [state.serialize() for state in states], stats
+
+
+def _spy_encode_frame(monkeypatch) -> list[str]:
+    threads: list[str] = []
+    encode = codec.encode_frame
+
+    def spy(contiguous, codec_name):
+        threads.append(threading.current_thread().name)
+        return encode(contiguous, codec_name)
+
+    monkeypatch.setattr(codec, "encode_frame", spy)
+    return threads
+
+
+class TestConcurrentEncoding:
+    @pytest.mark.parametrize("codec_name", ["adaptive", "zlib", "rle", "dict"])
+    def test_serialize_all_is_the_sequential_serialization(self, monkeypatch, codec_name):
+        states = [_ArrayState(MIXED_ARRAYS[i:]) for i in range(4)]
+        expected_blobs, expected_stats = _sequential(states, codec_name)
+        _cpus(monkeypatch, 2)
+        threads = _spy_encode_frame(monkeypatch)
+        blobs, stats = codec.serialize_all(states, codec_name)
+        assert blobs == expected_blobs
+        assert stats == expected_stats
+        assert list(stats.per_codec) == list(expected_stats.per_codec)
+        assert all(state.threads[1].startswith("codec-walker") for state in states)
+        assert any(name.startswith("codec_") for name in threads)
+
+    def test_a_bare_context_encodes_on_the_calling_thread(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        threads = _spy_encode_frame(monkeypatch)
+        state = _ArrayState(MIXED_ARRAYS)
+        with codec.encoding("adaptive"):
+            state.serialize()
+        assert set(threads) == {threading.current_thread().name}
+
+    def test_one_cpu_takes_the_sequential_path(self, monkeypatch):
+        states = [_ArrayState(MIXED_ARRAYS[i:]) for i in range(3)]
+        expected_blobs, expected_stats = _sequential(states, "adaptive")
+        _cpus(monkeypatch, 1)
+        threads = _spy_encode_frame(monkeypatch)
+        blobs, stats = codec.serialize_all(states, "adaptive")
+        assert blobs == expected_blobs
+        assert stats == expected_stats
+        main = threading.current_thread().name
+        assert {name for state in states for name in state.threads} == {main}
+        assert set(threads) == {main}
+
+    @pytest.mark.parametrize("case", ["raw codec", "one array to encode"])
+    def test_paths_that_stay_sequential(self, monkeypatch, case):
+        codec_name = "raw" if case == "raw codec" else "adaptive"
+        arrays = MIXED_ARRAYS[3:5] if case == "one array to encode" else MIXED_ARRAYS
+        states = [_ArrayState(arrays) for _ in range(2)]
+        expected, _ = _sequential(states, codec_name)
+        _cpus(monkeypatch, 2)
+        threads = _spy_encode_frame(monkeypatch)
+        blobs, _ = codec.serialize_all(states, codec_name)
+        assert blobs == expected
+        main = threading.current_thread().name
+        walked_on = {state.threads[1] for state in states}
+        if case == "raw codec":  # no walker and no pool
+            assert walked_on == {main}
+            assert set(threads) == {main}
+        else:  # walkers, but no array goes to the pool
+            assert not any(name.startswith("codec_") for name in threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_no_codec_thread_outlives_a_persist(self, monkeypatch):
+        # The parallel backend forks after a persist (a run continued after
+        # decide() or a resume): the process it forks must have no codec
+        # threads, and the child must persist concurrently on its own.
+        _cpus(monkeypatch, 2)
+        before = threading.active_count()
+        states = [_ArrayState(MIXED_ARRAYS[i:]) for i in range(3)]
+        threads = _spy_encode_frame(monkeypatch)
+        expected, _ = codec.serialize_all(states, "adaptive")
+        assert any(name.startswith("codec_") for name in threads)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("codec")]
+        pid = os.fork()
+        if pid == 0:  # the child: never return into pytest
+            try:
+                blobs, _ = codec.serialize_all(states, "adaptive")
+                same = blobs == expected and threading.active_count() == before
+                os._exit(0 if same else 1)
+            except BaseException:
+                os._exit(2)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in its persist")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("query", SAMPLE_QUERIES)

@@ -97,6 +97,26 @@ def random_plan(rng: np.random.Generator) -> PlanNode:
 
 def rows_as_multiset(chunk):
     """Rows as a sorted list of tuples (order-insensitive comparison)."""
+    return sorted(row_tuples(chunk), key=repr)
+
+
+def top_n_rows(chunk, keys):
+    """A top-N result as (its whole rows before the last kept sort key, that
+    key, the number of kept rows tied with it).
+
+    The cut may fall inside a run of rows tied on the sort keys, and an
+    engine may keep any of them; every row before that run is determined.
+    """
+    at = [chunk.schema.names.index(name) for name in keys]
+    rows = row_tuples(chunk)
+    last = tuple(rows[-1][i] for i in at) if rows else None
+    tied = [tuple(row[i] for i in at) == last for row in rows]
+    before = [row for row, is_tied in zip(rows, tied) if not is_tied]
+    return sorted(before, key=repr), last, sum(tied)
+
+
+def row_tuples(chunk):
+    """Rows as tuples, in the chunk's order, with floats made comparable."""
     rows = []
     for i in range(chunk.num_rows):
         row = []
@@ -108,7 +128,7 @@ def rows_as_multiset(chunk):
             else:
                 row.append(value.item() if hasattr(value, "item") else value)
         rows.append(tuple(row))
-    return sorted(rows, key=repr)
+    return rows
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,6 +142,10 @@ def test_push_and_pull_engines_agree(fuzz_catalog, seed):
     if isinstance(plan, Limit):
         # Limits pick arbitrary rows; only the count must agree.
         assert push.chunk.num_rows == pull.result.num_rows
+    elif isinstance(plan, Sort) and plan.limit is not None:
+        # Rows tied with the last kept sort key need agree only on the key.
+        keys = [name for name, _ in plan.keys]
+        assert top_n_rows(push.chunk, keys) == top_n_rows(pull.result, keys)
     else:
         assert rows_as_multiset(push.chunk) == rows_as_multiset(pull.result)
 

@@ -474,3 +474,59 @@ class TestManifest:
         store.register(first, "Q3")
         # the staged snapshot is moved in by rename too
         assert published == ["Q3.pipeline.000000.snapshot", "manifest.json"]
+
+
+def mid_run_capture(catalog, query, kind):
+    """The capture of *query* suspended by *kind* at half its virtual time."""
+    profile = HardwareProfile()
+    plan = build_query(query)
+    normal = QueryExecutor(catalog, plan, profile=profile, morsel_size=MORSEL).run()
+    strategy = STRATEGIES[kind](profile)
+    executor = QueryExecutor(
+        catalog, plan, profile=profile, morsel_size=MORSEL, query_name=query,
+        controller=strategy.make_request_controller(0.5 * normal.stats.duration),
+    )
+    with pytest.raises(QuerySuspended) as suspended:
+        executor.run()
+    return suspended.value.capture
+
+
+class TestConcurrentPersist:
+    """``Snapshot.from_capture`` serializes states on walker threads and their
+    arrays on the codec pool; what it returns must be exactly what one thread
+    serializing every state in order, under one codec context, produces."""
+
+    @pytest.mark.parametrize("kind", sorted(STRATEGIES))
+    @pytest.mark.parametrize("query", [f"Q{n}" for n in range(1, 23)])
+    def test_from_capture_is_the_sequential_serialization(
+        self, tpch_tiny, monkeypatch, query, kind
+    ):
+        capture = mid_run_capture(tpch_tiny, query, kind)
+        process = capture.kind == "process"
+        states = capture.completed_states if process else capture.live_states()
+        # The reference is a bare context, which encodes on this thread; the
+        # snapshot runs on two CPUs, whatever the host has, so the concurrent
+        # path is the one under test.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for codec_name in ("adaptive", "zlib", "rle", "dict"):
+            stats = codec_mod.CodecStats()
+            with codec_mod.encoding(codec_name, stats):
+                blobs = {pid: state.serialize() for pid, state in states.items()}
+                local_blobs = [state.serialize() for state in capture.local_states or []]
+            snapshot = Snapshot.from_capture(capture, codec_name, process_context_bytes=4096)
+            assert snapshot.state_blobs == blobs
+            assert list(snapshot.state_blobs) == list(blobs)
+            assert snapshot.local_state_blobs == local_blobs
+            assert snapshot.codec_stats == stats.to_json()
+            if process:
+                assert snapshot.raw_bytes == capture.memory_bytes + 4096
+                assert snapshot.encoded_bytes == 4096 + int(capture.memory_bytes * stats.ratio)
+            else:
+                assert snapshot.raw_bytes == (
+                    sum(len(blob) for blob in blobs.values()) + stats.saved_bytes
+                )
+                assert snapshot.encoded_bytes == 0
+
+    def test_process_captures_carry_local_states(self, tpch_tiny):
+        # The matrix above covers local states only if some capture has them.
+        assert mid_run_capture(tpch_tiny, "Q9", "pr").local_states

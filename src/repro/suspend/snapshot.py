@@ -129,7 +129,7 @@ class SnapshotFile:
     blob is touched; :meth:`read_blobs` then walks the blob sections once.
     For deltas ``header`` is the wrapper (``kind`` / ``header`` /
     ``inline_ids`` / ``refs`` / ``num_locals``) and only the inline states
-    are stored; references are resolved by the store.
+    are stored; :meth:`Snapshot.read` resolves the references.
 
     Every read is exact: a truncated or torn file raises
     :class:`SnapshotError` naming the file and the section.
@@ -183,6 +183,18 @@ class SnapshotFile:
         self._stream.seek(size, os.SEEK_CUR)
         return None
 
+    def _stored_ids(self) -> list[int]:
+        ids_key = "inline_ids" if self.kind == "delta" else "state_ids"
+        return [int(pid) for pid in self.header[ids_key]]
+
+    def skip_blobs(self) -> None:
+        """Seek past every blob section, checking each length against the
+        bytes left, so a torn file is refused without reading its payload."""
+        for pid in self._stored_ids():
+            self._read_blob(f"state {pid}", False)
+        for index in range(int(self.header.get("num_locals", 0))):
+            self._read_blob(f"local state {index}", False)
+
     def read_blobs(
         self, want=None, local_blobs: bool = True
     ) -> tuple[dict[int, bytes], list[bytes]]:
@@ -193,8 +205,7 @@ class SnapshotFile:
         ``local_blobs=False`` the pass stops after the last wanted state.
         Raises :class:`SnapshotError` when a wanted id is not stored inline.
         """
-        ids_key = "inline_ids" if self.kind == "delta" else "state_ids"
-        stored = [int(pid) for pid in self.header[ids_key]]
+        stored = self._stored_ids()
         wanted = set(stored) if want is None else {int(pid) for pid in want}
         if not wanted <= set(stored):
             raise SnapshotError(
@@ -226,8 +237,8 @@ def write_delta_snapshot(
     A delta stands in for the full snapshot of flavour *kind* whose header
     JSON is *header*: changed states are stored inline, the rest are
     *refs* into the files that hold them (``{"hash", "source"}`` per state
-    id, keyed like ``hashes``), so materializing it only requires resolving
-    those blobs.
+    id, keyed like ``hashes``), which :meth:`Snapshot.read` opens beside
+    *path*.
     Worker-local states change every suspension and are always inline.
     """
     wrapper = {
@@ -238,6 +249,34 @@ def write_delta_snapshot(
         "num_locals": len(local_blobs),
     }
     write_container(path, "delta", wrapper, inline_blobs, local_blobs)
+
+
+def _resolve_delta(
+    path: Path, wrapper: dict, inline: dict[int, bytes]
+) -> tuple[dict, dict[int, bytes]]:
+    """The wrapped header and every state blob of the delta at *path*.
+
+    Each base file named in ``refs`` is opened once, beside the delta, and
+    only its referenced states are read; every blob must match ``hashes``.
+    """
+    referenced: dict[str, list[int]] = {}
+    for pid, ref in wrapper["refs"].items():
+        referenced.setdefault(ref["source"], []).append(int(pid))
+    blobs = dict(inline)
+    for source_name, pids in referenced.items():
+        try:
+            base = SnapshotFile(path.with_name(source_name))
+        except FileNotFoundError:
+            raise SnapshotError(
+                f"delta {path.name} references missing base segment file {source_name}"
+            ) from None
+        with base:
+            blobs.update(base.read_blobs(pids, local_blobs=False)[0])
+    header = wrapper["header"]
+    for pid, digest in header["hashes"].items():
+        if hash_blob(blobs[int(pid)]) != digest:
+            raise SnapshotError(f"segment {pid} of {path.name} failed hash verification")
+    return header, blobs
 
 
 @dataclass
@@ -376,14 +415,24 @@ class Snapshot:
 
     @classmethod
     def read(cls, path: str | os.PathLike, kind: str) -> "Snapshot":
-        """Load the full snapshot of flavour *kind* at *path*."""
+        """Load the snapshot of flavour *kind* at *path*.
+
+        A delta standing in for one is read where it lies: its inline states
+        come from the delta, each referenced state from the base file beside
+        it, and every state is checked against the wrapped header's hash.
+        """
+        path = Path(path)
         with SnapshotFile(path) as source:
-            if source.kind != kind:
+            header = source.header
+            if source.kind == "delta" and header["kind"] != kind:
+                raise SnapshotError(f"not a {kind} snapshot: delta of a {header['kind']}")
+            if source.kind not in ("delta", kind):
                 raise SnapshotError(
                     f"not a {kind} snapshot: bad magic {_MAGIC[source.kind]!r}"
                 )
-            header = source.header
             blobs, locals_blobs = source.read_blobs()
+        if source.kind == "delta":
+            header, blobs = _resolve_delta(path, header, blobs)
         current = header.get("current_pipeline")
         return cls(
             kind=kind,

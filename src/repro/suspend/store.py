@@ -8,8 +8,8 @@ store gives them a home with the bookkeeping a service needs:
 * a JSON manifest recording metadata (strategy, sizes, codec, timestamps
   on the simulated timeline) without loading snapshot payloads;
 * retention: keep the newest N snapshots per query, prune the rest;
-* integrity: a size check on registration, SHA-256 verification when
-  materializing, and lookup of the latest resumable snapshot per query.
+* integrity: registration refuses a missing, empty or torn staged file,
+  and lookup finds the latest resumable snapshot per query.
 
 With ``incremental=True`` the store persists *delta snapshots*: each
 per-pipeline global state carries a content hash, and a new snapshot of a
@@ -18,25 +18,22 @@ snapshot of the same query/strategy, storing references to the base's
 segments for the rest.  Every record tracks a ``segments`` map — for each
 state id, the hash and the *file that holds the blob inline* — so
 references resolve in one hop regardless of how long the delta chain
-grows.  Retention refuses to delete a file that a live delta still
-references: the record is dropped but the file is kept (tracked in the
-manifest's ``retained`` list) until no live record references it.
+grows.  A committed delta is read where it lies: ``Snapshot.read`` opens
+its base files beside it and SHA-256-verifies every state, so no second,
+full copy is written.  Retention refuses to delete a file that a live
+delta still references: the record is dropped but the file is kept
+(tracked in the manifest's ``retained`` list) until no live record
+references it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.suspend.snapshot import (
-    SnapshotError,
-    SnapshotFile,
-    hash_blob,
-    write_container,
-    write_delta_snapshot,
-)
+from repro.suspend.snapshot import SnapshotFile, write_delta_snapshot
 from repro.suspend.strategy import SuspendOutcome
 
 __all__ = ["SnapshotRecord", "SnapshotStore"]
@@ -64,38 +61,6 @@ class SnapshotRecord:
     def is_delta(self) -> bool:
         return self.delta_of is not None
 
-    def to_json(self) -> dict:
-        return {
-            "query_name": self.query_name,
-            "strategy": self.strategy,
-            "sequence": self.sequence,
-            "file_name": self.file_name,
-            "intermediate_bytes": self.intermediate_bytes,
-            "file_bytes": self.file_bytes,
-            "suspended_at": self.suspended_at,
-            "raw_bytes": self.raw_bytes,
-            "codec": self.codec,
-            "delta_of": self.delta_of,
-            "segments": self.segments,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "SnapshotRecord":
-        delta_of = payload.get("delta_of")
-        return cls(
-            query_name=payload["query_name"],
-            strategy=payload["strategy"],
-            sequence=int(payload["sequence"]),
-            file_name=payload["file_name"],
-            intermediate_bytes=int(payload["intermediate_bytes"]),
-            file_bytes=int(payload["file_bytes"]),
-            suspended_at=float(payload["suspended_at"]),
-            raw_bytes=int(payload.get("raw_bytes", 0)),
-            codec=payload.get("codec", "raw"),
-            delta_of=None if delta_of is None else int(delta_of),
-            segments=payload.get("segments", {}),
-        )
-
 
 @dataclass
 class SnapshotStore:
@@ -115,7 +80,9 @@ class SnapshotStore:
         manifest = self.directory / _MANIFEST
         if manifest.exists():
             payload = json.loads(manifest.read_text())
-            self._records = [SnapshotRecord.from_json(r) for r in payload["records"]]
+            # The manifest's keys are the fields; older manifests lack the
+            # later ones, which keep their defaults.
+            self._records = [SnapshotRecord(**r) for r in payload["records"]]
             self._next_sequence = int(payload["next_sequence"])
             self._retained = list(payload.get("retained", []))
             # Older manifests predate decision journals; default to none.
@@ -126,9 +93,10 @@ class SnapshotStore:
         """Move a freshly persisted snapshot into the store.
 
         Raises ``ValueError`` when the outcome carries no snapshot file
-        (the redo strategy) or the file is missing/empty.  In incremental
-        mode, a snapshot whose state hashes partly match the previous
-        snapshot of the same query/strategy is rewritten as a delta.
+        (the redo strategy) or the file is missing/empty, and
+        ``SnapshotError`` when it is torn; the store is then unchanged.  In
+        incremental mode, a snapshot whose state hashes partly match the
+        previous snapshot of the same query/strategy is rewritten as a delta.
         """
         if outcome.snapshot_path is None:
             raise ValueError(f"{outcome.strategy!r} persisted no snapshot to store")
@@ -136,11 +104,11 @@ class SnapshotStore:
         if not source.exists() or source.stat().st_size == 0:
             raise ValueError(f"snapshot file missing or empty: {source}")
         sequence = self._next_sequence
-        self._next_sequence += 1
         file_name = f"{query_name}.{outcome.strategy}.{sequence:06d}.snapshot"
         target = self.directory / file_name
 
         delta_of, segments = self._stage(source, target, query_name, outcome.strategy)
+        self._next_sequence += 1
         if delta_of is None:
             source.replace(target)
         else:
@@ -173,15 +141,10 @@ class SnapshotStore:
         inline.  In incremental mode, states whose hash matches the newest
         snapshot of the same query/strategy point at that base's segment
         files, and — when at least one does — the staged file is rewritten
-        at *target* as a delta holding only the changed states.
+        at *target* as a delta holding only the changed states.  A torn
+        staged file raises ``SnapshotError`` before anything is written.
         """
-        try:
-            staged = SnapshotFile(source)
-        except SnapshotError:
-            return None, {}
-        with staged:
-            if staged.kind == "delta":
-                return None, {}
+        with SnapshotFile(source) as staged:
             hashes = staged.header.get("hashes") or {}
             # Newest first: the base is the latest snapshot with segments.
             candidates = self.records(query_name) if self.incremental else []
@@ -199,6 +162,7 @@ class SnapshotStore:
                     changed.append(int(pid))
                     segments[pid] = {"hash": digest, "source": target.name}
             if len(changed) == len(hashes):
+                staged.skip_blobs()
                 return None, segments
             inline, local_blobs = staged.read_blobs(changed)
             refs = {
@@ -235,44 +199,12 @@ class SnapshotStore:
 
     # -- materialization ---------------------------------------------------------
     def materialize(self, record: SnapshotRecord) -> Path:
-        """Path to a *full* snapshot for *record*, resolving deltas.
+        """The path ``prepare_resume`` reads for *record*: its own file.
 
-        Full records return their own file.  Delta records are expanded —
-        every segment is resolved through its one-hop source reference,
-        SHA-256-verified against the recorded hash, and written as a full
-        snapshot next to the delta (cached as ``<file>.full``).
+        A delta needs no expansion — ``Snapshot.read`` resolves its
+        references beside it — so nothing is read or written here.
         """
-        path = self.path_of(record)
-        if not record.is_delta:
-            return path
-        with SnapshotFile(path) as delta:
-            if delta.kind != "delta":
-                raise SnapshotError(f"not a delta snapshot: {record.file_name}")
-            wrapper = delta.header
-            blobs, local_blobs = delta.read_blobs()
-        referenced: dict[str, list[int]] = {}
-        for pid, segment in record.segments.items():
-            if int(pid) not in blobs:
-                referenced.setdefault(segment["source"], []).append(int(pid))
-        for source_name, pids in referenced.items():
-            source = Path(self.directory) / source_name
-            if not source.exists():
-                raise SnapshotError(
-                    f"delta {record.file_name} references missing base "
-                    f"segment file {source_name}"
-                )
-            with SnapshotFile(source) as base:
-                blobs.update(base.read_blobs(pids, local_blobs=False)[0])
-        for pid, segment in record.segments.items():
-            if hash_blob(blobs[int(pid)]) != segment["hash"]:
-                raise SnapshotError(
-                    f"segment {pid} of {record.file_name} failed hash verification"
-                )
-        materialized = path.with_name(path.name + ".full")
-        write_container(
-            materialized, wrapper["kind"], wrapper["header"], blobs, local_blobs
-        )
-        return materialized
+        return self.path_of(record)
 
     # -- decision journals -------------------------------------------------------
     def journal_path(self, query_name: str) -> Path | None:
@@ -348,9 +280,6 @@ class SnapshotStore:
                 self._retained.append(record.file_name)
             else:
                 self.path_of(record).unlink(missing_ok=True)
-            self.path_of(record).with_name(record.file_name + ".full").unlink(
-                missing_ok=True
-            )
             self._records.remove(record)
             removed += 1
         self._sweep_retained()
@@ -372,7 +301,7 @@ class SnapshotStore:
             json.dumps(
                 {
                     "next_sequence": self._next_sequence,
-                    "records": [r.to_json() for r in self._records],
+                    "records": [asdict(r) for r in self._records],
                     "retained": self._retained,
                     "journals": dict(sorted(self._journals.items())),
                 },

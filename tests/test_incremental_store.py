@@ -1,9 +1,10 @@
-"""Incremental snapshot store: delta reuse, materialization, and GC safety.
+"""Incremental snapshot store: delta reuse, reading deltas, and GC safety.
 
 The tentpole invariants: a second suspension of the same query persists
 only changed states (delta files are a fraction of full snapshots), a
-delta always materializes back to a byte-correct full snapshot, and
-pruning never orphans a base file that a live delta chain references.
+delta is read where it lies, resolving its references beside it, with no
+second copy written, and pruning never orphans a base file that a live
+delta chain references.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.suspend import (
     SnapshotFile,
     SnapshotStore,
 )
+from repro.suspend.snapshot import Snapshot
 from repro.tpch import build_query
 
 from tests.conftest import assert_chunks_equal
@@ -82,7 +84,7 @@ class TestDeltaRegistration:
             assert stored.kind == "delta"
             assert stored.header["refs"]
 
-        # The delta materializes into a full snapshot the strategy resumes from.
+        # The strategy resumes from the delta itself.
         full = store.materialize(record2)
         resumed = strategy.prepare_resume(
             full, second_exec.pipelines, second_exec.plan_fingerprint
@@ -161,11 +163,14 @@ class TestDeltaRegistration:
         latest = reopened.latest("Q9")
         assert latest == record2
         assert latest.segments
-        reopened.materialize(latest)  # references resolve after reopen
+        # References resolve after reopen.
+        assert Snapshot.read(reopened.materialize(latest), "pipeline").state_blobs
 
     def test_hash_verification_detects_corruption(self, tpch_tiny, tmp_path):
         strategy = PipelineLevelStrategy(HardwareProfile())
-        _, first, second, _, _ = _suspend_twice(tpch_tiny, "Q9", strategy, tmp_path)
+        _, first, second, _, second_exec = _suspend_twice(
+            tpch_tiny, "Q9", strategy, tmp_path
+        )
         store = SnapshotStore(tmp_path / "store", incremental=True)
         record1 = store.register(first, "Q9")
         record2 = store.register(second, "Q9")
@@ -176,14 +181,17 @@ class TestDeltaRegistration:
         payload = bytearray(base_path.read_bytes())
         payload[-3] ^= 0xFF
         base_path.write_bytes(bytes(payload))
+        path = store.materialize(record2)
         with pytest.raises(SnapshotError, match="hash"):
-            store.materialize(record2)
+            strategy.prepare_resume(
+                path, second_exec.pipelines, second_exec.plan_fingerprint
+            )
 
 
 class TestPruningNeverOrphans:
     def test_prune_keeps_referenced_base_file(self, tpch_tiny, tmp_path):
         """keep=1 drops the base *record* but its file survives while the
-        delta references it — the chain still materializes."""
+        delta references it — the delta still resumes."""
         strategy = PipelineLevelStrategy(HardwareProfile())
         _, first, second, _, second_exec = _suspend_twice(
             tpch_tiny, "Q9", strategy, tmp_path
@@ -228,6 +236,6 @@ class TestPruningNeverOrphans:
         store = SnapshotStore(tmp_path / "store", incremental=True, keep_per_query=1)
         store.register(first, "Q9")
         record2 = store.register(second, "Q9")
-        # Retention kicked in immediately, yet the delta still materializes.
+        # Retention kicked in immediately, yet the delta still reads.
         assert [r.sequence for r in store.records("Q9")] == [record2.sequence]
-        assert store.materialize(record2).exists()
+        assert Snapshot.read(store.materialize(record2), "pipeline").state_blobs

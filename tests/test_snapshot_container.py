@@ -8,6 +8,7 @@ and the golden-bytes test pins the on-disk formats the refactor kept.
 """
 
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -38,7 +39,9 @@ from repro.suspend import (
     PipelineLevelStrategy,
     ProcessLevelStrategy,
     SnapshotError,
+    SnapshotRecord,
     SnapshotStore,
+    SuspendOutcome,
 )
 from repro.suspend.snapshot import Snapshot, SnapshotFile, write_container
 from repro.tpch import build_query
@@ -145,8 +148,8 @@ class TestChainMatrix:
 
 #: sha256 of every file a fixed-seed double suspension leaves behind, raw
 #: codec, incremental store.  The pipeline chains were recorded at the
-#: parent of the single-container refactor: their snapshot, delta,
-#: materialized ``.full`` and manifest bytes are that commit's, unchanged.
+#: parent of the single-container refactor: their snapshot, delta and
+#: manifest bytes are that commit's, unchanged.
 #: The process chains are this commit's; PARENT_PROCESS_IMAGES pins that
 #: they differ from the parent's only by the added ``completed`` key.
 GOLDEN_FRACTIONS = {
@@ -226,11 +229,15 @@ class TestGoldenBytes:
         )
         golden = GOLDEN[f"{query}:{kind}"]
         assert {key: digests[key] for key in golden} == golden
-        # A full record is the staged file moved; a delta materializes back
-        # into exactly the file it replaced.
+        # A full record is the staged file moved; a delta reads back into
+        # exactly the snapshot it replaced.
         assert not digests["is_delta0"]
         assert digests["stored0"] == digests["resumed_from0"] == digests["staged0"]
-        assert digests["resumed_from1"] == digests["staged1"]
+        store = SnapshotStore(tmp_path / "store", incremental=True)
+        second = store.latest(query)
+        rewritten = tmp_path / "rewritten"
+        Snapshot.read(store.materialize(second), second.strategy).write(rewritten)
+        assert sha256(rewritten) == digests["staged1"]
 
     @pytest.mark.parametrize("query", ["Q3", "Q10", "Q18"])
     def test_process_image_adds_only_the_completed_key(self, tpch_tiny, tmp_path, query):
@@ -384,13 +391,118 @@ class TestTornFiles:
         path.write_bytes(blob[: len(blob) // 2 if cut == "half" else len(blob) - cut])
         section = r"(unreadable|truncated in) (header|state \d+|local state \d+)"
         with pytest.raises(SnapshotError, match=f"{re.escape(path.name)}: {section}"):
-            if fmt == "delta":
-                store.materialize(delta)
-            else:
-                Snapshot.read(path, fmt)
+            Snapshot.read(path, "pipeline" if fmt == "delta" else fmt)
+
+    @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "plain"])
+    @pytest.mark.parametrize("cut", [1, 100, "half"])
+    @pytest.mark.parametrize("fmt", ["pipeline", "process"])
+    def test_register_refuses_torn_staged_file(
+        self, one_of_each_format, tmp_path, fmt, cut, incremental
+    ):
+        """A torn persist is refused at register and leaves the store as it
+        was.  The incremental pipeline case takes the delta-planning path
+        (every state of the staged Q18 snapshot matches its base)."""
+        directory = tmp_path / "copy"
+        shutil.copytree(one_of_each_format, directory)
+        store = SnapshotStore(directory / "store", incremental=incremental)
+        _, full = store.records("Q18")
+        blob = {
+            "pipeline": store.path_of(full),
+            "process": directory / "image" / "stage0" / "Q3.process.image",
+        }[fmt].read_bytes()
+        staged = tmp_path / f"staged.{fmt}"
+        staged.write_bytes(blob[: len(blob) // 2 if cut == "half" else len(blob) - cut])
+        manifest = directory / "store" / "manifest.json"
+        before = (store.records(), manifest.read_bytes(), sorted(os.listdir(manifest.parent)))
+        outcome = SuspendOutcome(
+            strategy=fmt,
+            snapshot_path=staged,
+            intermediate_bytes=len(blob),
+            persist_latency=0.0,
+            suspended_at=0.0,
+        )
+        section = r"(unreadable|truncated in) (header|state \d+|local state \d+)"
+        with pytest.raises(SnapshotError, match=f"{re.escape(staged.name)}: {section}"):
+            store.register(outcome, "Q18")
+        assert (store.records(), manifest.read_bytes(), sorted(os.listdir(manifest.parent))) == before
+
+
+class TestDeltaReadInPlace:
+    @pytest.mark.parametrize("kind", ["pl", "pr"])
+    def test_store_holds_only_records_and_manifest(self, tpch_tiny, tmp_path, kind):
+        """A resumed delta chain leaves no copy of any snapshot behind, and
+        neither ``materialize`` nor a read adds a file."""
+        run_chain(
+            tpch_tiny, "Q18", (kind, kind), "raw", "incremental",
+            GOLDEN_FRACTIONS["Q18", kind], tmp_path,
+        )
+        store = SnapshotStore(tmp_path / "store", incremental=True)
+        records = store.records("Q18")
+        assert records[0].is_delta
+        listing = sorted(os.listdir(tmp_path / "store"))
+        assert listing == sorted([r.file_name for r in records] + ["manifest.json"])
+        for record in records:
+            Snapshot.read(store.materialize(record), record.strategy)
+        assert sorted(os.listdir(tmp_path / "store")) == listing
+
+    @pytest.mark.parametrize("query,kind", [("Q9", "pl"), ("Q18", "pr")])
+    def test_resume_from_delta_equals_resume_from_full(self, tpch_tiny, tmp_path, query, kind):
+        """A third suspension after resuming from a delta writes the bytes
+        it writes after resuming from the full snapshot the delta replaced."""
+        staged = {}
+        for store_mode in ("none", "incremental"):
+            _, _, digests, _ = run_chain(
+                tpch_tiny, query, (kind,) * 3, "raw", store_mode, (0.1, 0.1, 0.1),
+                tmp_path / store_mode,
+            )
+            staged[store_mode] = digests["staged2"]
+        assert digests["is_delta1"]
+        assert staged["incremental"] == staged["none"]
+
+    def test_delta_with_deleted_base_is_refused(self, one_of_each_format, tmp_path):
+        directory = tmp_path / "copy"
+        shutil.copytree(one_of_each_format, directory)
+        store = SnapshotStore(directory / "store", incremental=True)
+        delta, full = store.records("Q18")
+        store.path_of(full).unlink()  # behind the store's back
+        with pytest.raises(
+            SnapshotError,
+            match=f"references missing base segment file {re.escape(full.file_name)}",
+        ):
+            Snapshot.read(store.materialize(delta), "pipeline")
 
 
 class TestManifest:
+    def test_older_manifest_records_keep_field_defaults(self, tmp_path):
+        """Records are the dataclass's fields; keys an older manifest lacks
+        take their defaults, and a save writes them back in field order."""
+        legacy = {
+            "query_name": "Q3",
+            "strategy": "pipeline",
+            "sequence": 0,
+            "file_name": "Q3.pipeline.000000.snapshot",
+            "intermediate_bytes": 10,
+            "file_bytes": 20,
+            "suspended_at": 1.5,
+        }
+        directory = tmp_path / "store"
+        directory.mkdir()
+        (directory / "manifest.json").write_text(
+            json.dumps({"next_sequence": 1, "records": [legacy]})
+        )
+        store = SnapshotStore(directory)
+        assert store.records() == [SnapshotRecord(**legacy)]
+        record = store.records()[0]
+        assert (record.raw_bytes, record.codec, record.delta_of, record.segments) == (
+            0, "raw", None, {}
+        )
+        store.prune_query("Q4")  # a no-op that saves the manifest
+        saved = json.loads((directory / "manifest.json").read_text())["records"]
+        assert list(saved[0]) == [
+            "query_name", "strategy", "sequence", "file_name", "intermediate_bytes",
+            "file_bytes", "suspended_at", "raw_bytes", "codec", "delta_of", "segments",
+        ]
+
     def _outcomes(self, catalog, directory):
         strategy = PipelineLevelStrategy(HardwareProfile())
         normal = QueryExecutor(catalog, build_query("Q3"), query_name="Q3").run()
